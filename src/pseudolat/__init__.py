@@ -29,6 +29,7 @@ from .localization import (
     multilaterate,
     pseudo_multilaterate_moving,
     pseudo_multilaterate_static,
+    pseudo_multilaterate_static_batch,
     residual_sum,
 )
 from .ranging import (

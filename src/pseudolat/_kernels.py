@@ -1,96 +1,118 @@
-"""Hot solver kernels: box-constrained Levenberg-damped Gauss-Newton.
+"""Hot solver kernel: box-constrained Levenberg-damped Gauss-Newton.
 
-The batch solver minimizes sum_k (||p - a_k|| - d_k)^2 from many start
-points. It is the inner loop of every Monte-Carlo experiment, so the
-default implementation is numba-jitted; set PSEUDOLAT_BACKEND=numpy to use
-the vectorized pure-numpy path instead (same algorithm, batched over
-starts). Both return, per start: final point, residual, masked gradient
-norm, converged flag, iteration count.
+The batch solver minimizes sum_k (||p - a_k|| - d_k)^2 for B problems from
+S start points each. It is the inner loop of every Monte-Carlo experiment,
+so it is vectorized over flat lanes (problem, start): every numpy call
+advances all running lanes one iteration, and a lane that converges or
+stalls is written to the outputs by lane index and compacted out of the
+working arrays, so finished starts stop costing work. It returns, per
+problem and start: final point, residual, masked gradient norm, converged
+flag, iteration count.
+
+Each lane's arithmetic does not depend on which other lanes share its call:
+the per-lane reductions run along contiguous axes of fixed length, so a
+problem solved alone or inside any batch gives bit-identical outputs.
 
 Bounds are handled with an active set: an axis is frozen when it is pinned
 (lo == hi) or sits on a face with the descent direction pointing outward.
 Frozen axes are dropped from the damped normal equations, steps are
 clipped into the box, and convergence is judged on the masked gradient so
-a minimum pressed against a face still converges.
+a minimum pressed against a face still converges. The damping update is
+the one of Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least
+Squares Problems" (DTU, 2004), section 3.2.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional (the `numba` extra); fall back to numpy
-    numba = None
-    _HAVE_NUMBA = False
 
 _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e14
 _DIST_FLOOR = 1e-12
 _FACE_EPS = 1e-12
 
+# Lanes per kernel call. Beyond ~200 lanes the per-call overhead is already
+# amortized and larger calls only grow the working arrays (peak memory).
+_LANE_CAP = 200
+
 
 def backend() -> str:
-    """Active kernel backend, 'numba' or 'numpy' (PSEUDOLAT_BACKEND wins)."""
-    env = os.environ.get("PSEUDOLAT_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("PSEUDOLAT_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env not in ("", "auto"):
-        raise RuntimeError(f"unknown PSEUDOLAT_BACKEND value {env!r}")
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Kernel implementation, recorded as provenance: always 'numpy'."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy path: batched over starts
+def problems_per_call(n_starts: int) -> int:
+    """How many problems of ``n_starts`` starts fit in one capped call."""
+    return max(1, _LANE_CAP // n_starts)
 
 
-def _residuals_numpy(P, anchors, d):
-    diff = P[:, None, :] - anchors[None, :, :]  # (S, K, 3)
+def _residuals(P, anchors, d, prob):
+    # Lane l belongs to problem prob[l]; the per-lane anchor rows are
+    # gathered here so that only one transient copy of them exists.
+    diff = P[:, None, :] - anchors[prob]  # (L, K, 3)
     dist = np.maximum(np.sqrt(np.sum(diff * diff, axis=2)), _DIST_FLOOR)
-    r = dist - d[None, :]
+    r = dist - d[prob]
     return diff, dist, r, np.sum(r * r, axis=1)
 
 
-def _frozen_axes_numpy(P, g, lo, hi):
+def _frozen_axes(P, g, lo, hi):
     pinned = (hi - lo) == 0.0
     at_lo = (P <= lo + _FACE_EPS) & (g > 0)
     at_hi = (P >= hi - _FACE_EPS) & (g < 0)
     return pinned[None, :] | at_lo | at_hi
 
 
-def _lm_solve_batch_numpy(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0):
-    S = starts.shape[0]
-    P = np.clip(starts, lo, hi)
-    lam = np.full(S, damping0)
-    conv = np.zeros(S, dtype=np.bool_)
-    gradn = np.full(S, np.inf)
-    iters = np.zeros(S, dtype=np.int64)
-    active = np.ones(S, dtype=np.bool_)
+def _lm_solve_lanes(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0):
+    """Solve every start of every problem: anchors (B, K, 3), d (B, K),
+    starts (B, S, 3); outputs are flat over lanes (problem, start)."""
+    B, S = starts.shape[:2]
+    prob = np.repeat(np.arange(B), S)  # lane = problem * S + start
+    P = np.clip(starts.reshape(-1, 3), lo, hi)
+    L = P.shape[0]
+    lam = np.full(L, damping0)
+    iters = np.zeros(L, dtype=np.int64)
+    lane = np.arange(L)
 
-    diff, dist, r, f = _residuals_numpy(P, anchors, d)
+    out_p = np.empty((L, 3))
+    out_f = np.empty(L)
+    out_g = np.full(L, np.inf)
+    out_conv = np.zeros(L, dtype=np.bool_)
+    out_iters = np.zeros(L, dtype=np.int64)
+
+    diff, dist, r, f = _residuals(P, anchors, d, prob)
+    gm = np.full(L, np.inf)
     eye = np.eye(3)
 
+    def retire(done, converged):
+        # Write finished lanes out by lane index, keep the rest.
+        nonlocal prob, P, f, diff, dist, r, lam, iters, lane, gm
+        idx = lane[done]
+        out_p[idx] = P[done]
+        out_f[idx] = f[done]
+        out_g[idx] = gm[done]
+        out_conv[idx] = converged
+        out_iters[idx] = iters[done]
+        keep = ~done
+        # one array at a time, so each old copy is freed before the next
+        diff = diff[keep]
+        dist, r = dist[keep], r[keep]
+        P, f, lam, iters, lane, gm = P[keep], f[keep], lam[keep], iters[keep], lane[keep], gm[keep]
+        prob = prob[keep]
+        return keep
+
     for _ in range(max_iter):
-        if not np.any(active):
+        if lane.size == 0:
             break
-        J = diff / dist[:, :, None]  # (S, K, 3)
+        J = diff / dist[:, :, None]  # (L, K, 3)
         g = 2.0 * np.einsum("ski,sk->si", J, r)
-        frozen = _frozen_axes_numpy(P, g, lo, hi)
+        frozen = _frozen_axes(P, g, lo, hi)
         gm = np.sqrt(np.sum(np.where(frozen, 0.0, g) ** 2, axis=1))
-        gradn = np.where(active, gm, gradn)
-        newly = active & (gm < grad_tol)
-        conv |= newly
-        active &= ~newly
-        if not np.any(active):
-            break
+        newly = gm < grad_tol
+        if np.any(newly):
+            keep = retire(newly, True)
+            if lane.size == 0:
+                break
+            J, frozen = J[keep], frozen[keep]
 
         free = ~frozen
         A = np.einsum("ski,skj->sij", J, J)
@@ -98,213 +120,58 @@ def _lm_solve_batch_numpy(anchors, d, starts, lo, hi, max_iter, grad_tol, step_t
         A += np.where(frozen, 1.0, 0.0)[:, :, None] * eye[None, :, :]
         A += lam[:, None, None] * eye[None, :, :] * free[:, :, None] * free[:, None, :]
         b = -np.einsum("ski,sk->si", J, r) * free
+        del J  # free it before the trial point's residuals are built
         delta = np.linalg.solve(A, b[:, :, None])[:, :, 0]
         Pt = np.clip(P + delta, lo, hi)
         step = np.sqrt(np.sum((Pt - P) ** 2, axis=1))
 
-        difft, distt, rt, ft = _residuals_numpy(Pt, anchors, d)
-        accept = active & (ft < f)
+        difft, distt, rt, ft = _residuals(Pt, anchors, d, prob)
+        accept = ft < f
         P = np.where(accept[:, None], Pt, P)
         f = np.where(accept, ft, f)
-        diff = np.where(accept[:, None, None], difft, diff)
-        dist = np.where(accept[:, None], distt, dist)
-        r = np.where(accept[:, None], rt, r)
+        np.copyto(diff, difft, where=accept[:, None, None])
+        np.copyto(dist, distt, where=accept[:, None])
+        np.copyto(r, rt, where=accept[:, None])
+        del difft, distt, rt
         lam = np.where(accept, np.maximum(lam * 0.25, _LAMBDA_MIN), lam * 4.0)
 
-        stalled = active & ((accept & (step < step_tol)) | (lam > _LAMBDA_MAX))
-        active &= ~stalled
-        iters += active.astype(np.int64)
+        stalled = (accept & (step < step_tol)) | (lam > _LAMBDA_MAX)
+        iters += ~stalled
+        if np.any(stalled):
+            retire(stalled, False)
 
-    return P, f, gradn, conv, iters
-
-
-# ---------------------------------------------------------------------------
-# loop path, numba-jitted when available
-
-
-def _lm_solve_batch_loops(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0):
-    S = starts.shape[0]
-    K = anchors.shape[0]
-    out_p = np.empty((S, 3))
-    out_f = np.empty(S)
-    out_g = np.empty(S)
-    out_conv = np.zeros(S, dtype=np.bool_)
-    out_iters = np.zeros(S, dtype=np.int64)
-
-    for s in range(S):
-        p = np.empty(3)
-        for i in range(3):
-            p[i] = min(max(starts[s, i], lo[i]), hi[i])
-        lam = damping0
-
-        f = 0.0
-        for k in range(K):
-            dx = p[0] - anchors[k, 0]
-            dy = p[1] - anchors[k, 1]
-            dz = p[2] - anchors[k, 2]
-            dist = max(np.sqrt(dx * dx + dy * dy + dz * dz), _DIST_FLOOR)
-            rk = dist - d[k]
-            f += rk * rk
-
-        gm = np.inf
-        it = 0
-        converged = False
-        while it < max_iter:
-            A = np.zeros((3, 3))
-            b = np.zeros(3)
-            g = np.zeros(3)
-            for k in range(K):
-                dx = p[0] - anchors[k, 0]
-                dy = p[1] - anchors[k, 1]
-                dz = p[2] - anchors[k, 2]
-                dist = max(np.sqrt(dx * dx + dy * dy + dz * dz), _DIST_FLOOR)
-                rk = dist - d[k]
-                jx, jy, jz = dx / dist, dy / dist, dz / dist
-                A[0, 0] += jx * jx
-                A[0, 1] += jx * jy
-                A[0, 2] += jx * jz
-                A[1, 1] += jy * jy
-                A[1, 2] += jy * jz
-                A[2, 2] += jz * jz
-                b[0] -= jx * rk
-                b[1] -= jy * rk
-                b[2] -= jz * rk
-                g[0] += 2.0 * jx * rk
-                g[1] += 2.0 * jy * rk
-                g[2] += 2.0 * jz * rk
-            A[1, 0] = A[0, 1]
-            A[2, 0] = A[0, 2]
-            A[2, 1] = A[1, 2]
-
-            frozen = np.zeros(3, dtype=np.bool_)
-            gm = 0.0
-            for i in range(3):
-                if (
-                    hi[i] - lo[i] == 0.0
-                    or (p[i] <= lo[i] + _FACE_EPS and g[i] > 0)
-                    or (p[i] >= hi[i] - _FACE_EPS and g[i] < 0)
-                ):
-                    frozen[i] = True
-                else:
-                    gm += g[i] * g[i]
-            gm = np.sqrt(gm)
-            if gm < grad_tol:
-                converged = True
-                break
-
-            # Drop frozen axes from the damped normal equations.
-            for i in range(3):
-                if frozen[i]:
-                    for j in range(3):
-                        A[i, j] = 0.0
-                        A[j, i] = 0.0
-                    A[i, i] = 1.0
-                    b[i] = 0.0
-                else:
-                    A[i, i] += lam
-            delta = _solve3(A, b)
-
-            pt = np.empty(3)
-            step = 0.0
-            for i in range(3):
-                pt[i] = min(max(p[i] + delta[i], lo[i]), hi[i])
-                step += (pt[i] - p[i]) ** 2
-            step = np.sqrt(step)
-
-            ft = 0.0
-            for k in range(K):
-                dx = pt[0] - anchors[k, 0]
-                dy = pt[1] - anchors[k, 1]
-                dz = pt[2] - anchors[k, 2]
-                dist = max(np.sqrt(dx * dx + dy * dy + dz * dz), _DIST_FLOOR)
-                rk = dist - d[k]
-                ft += rk * rk
-
-            if ft < f:
-                for i in range(3):
-                    p[i] = pt[i]
-                f = ft
-                lam = max(lam * 0.25, _LAMBDA_MIN)
-                if step < step_tol:
-                    break
-            else:
-                lam *= 4.0
-                if lam > _LAMBDA_MAX:
-                    break
-            it += 1
-
-        out_p[s] = p
-        out_f[s] = f
-        out_g[s] = gm
-        out_conv[s] = converged
-        out_iters[s] = it
+    retire(np.ones(lane.size, dtype=np.bool_), False)
     return out_p, out_f, out_g, out_conv, out_iters
 
 
-def _solve3(A, b):
-    # Gaussian elimination with partial pivoting on a 3x3 system.
-    M = np.empty((3, 4))
-    for i in range(3):
-        for j in range(3):
-            M[i, j] = A[i, j]
-        M[i, 3] = b[i]
-    for col in range(3):
-        prow = col
-        best = abs(M[col, col])
-        for row in range(col + 1, 3):
-            if abs(M[row, col]) > best:
-                best = abs(M[row, col])
-                prow = row
-        if prow != col:
-            for j in range(4):
-                tmp = M[col, j]
-                M[col, j] = M[prow, j]
-                M[prow, j] = tmp
-        pivot = M[col, col]
-        if pivot == 0.0:
-            pivot = 1e-300
-        for row in range(col + 1, 3):
-            fac = M[row, col] / pivot
-            for j in range(col, 4):
-                M[row, j] -= fac * M[col, j]
-    x = np.zeros(3)
-    for i in range(2, -1, -1):
-        acc = M[i, 3]
-        for j in range(i + 1, 3):
-            acc -= M[i, j] * x[j]
-        pivot = M[i, i]
-        if pivot == 0.0:
-            pivot = 1e-300
-        x[i] = acc / pivot
-    return x
-
-
-if _HAVE_NUMBA:
-    _solve3 = numba.njit(cache=True)(_solve3)
-    _lm_solve_batch_numba = numba.njit(cache=True)(_lm_solve_batch_loops)
-
-
 def lm_solve_batch(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0):
-    """Run the damped Gauss-Newton solver from every start point."""
-    anchors = np.ascontiguousarray(anchors, dtype=np.float64)
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
+    """Run the damped Gauss-Newton solver from every start of every problem.
+
+    ``anchors`` is (K, 3) for one problem or (B, K, 3) for B problems with
+    ``d`` (K,) or (B, K); ``starts`` is (S, 3), shared by all problems, or
+    (B, S, 3). Outputs are indexed [start] for one problem and
+    [problem, start] otherwise. At most ``_LANE_CAP`` lanes run per kernel pass.
+    """
+    anchors = np.asarray(anchors, dtype=np.float64)
+    single = anchors.ndim == 2
+    anchors = np.ascontiguousarray(anchors[None] if single else anchors)
+    d = np.ascontiguousarray(d, dtype=np.float64).reshape(anchors.shape[:2])
+    starts = np.asarray(starts, dtype=np.float64)
+    B, S = anchors.shape[0], starts.shape[-2]
+    starts = np.ascontiguousarray(np.broadcast_to(starts, (B, S, 3)))
     lo = np.ascontiguousarray(lo, dtype=np.float64)
     hi = np.ascontiguousarray(hi, dtype=np.float64)
-    if backend() == "numba":
-        return _lm_solve_batch_numba(
-            anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0
+
+    per_call = problems_per_call(S)
+    parts = []
+    # an empty batch still makes one (empty) pass so the outputs keep their shapes
+    for b0 in range(0, max(B, 1), per_call):
+        sl = slice(b0, b0 + per_call)
+        parts.append(
+            _lm_solve_lanes(
+                anchors[sl], d[sl], starts[sl], lo, hi, max_iter, grad_tol, step_tol, damping0
+            )
         )
-    return _lm_solve_batch_numpy(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed runs exclude compile cost."""
-    if backend() != "numba":
-        return
-    anchors = np.array([[0.0, 0.0, 10.0], [5.0, 0.0, 10.0], [0.0, 5.0, 10.0], [5.0, 5.0, 10.0]])
-    d = np.full(4, 10.0)
-    starts = np.array([[1.0, 1.0, 0.0]])
-    lo = np.array([-10.0, -10.0, 0.0])
-    hi = np.array([10.0, 10.0, 5.0])
-    lm_solve_batch(anchors, d, starts, lo, hi, 5, 1e-9, 1e-12, 1e-3)
+    outs = [np.concatenate(arrays) for arrays in zip(*parts)]
+    shape = (S,) if single else (B, S)
+    return tuple(o.reshape(shape + o.shape[1:]) for o in outs)

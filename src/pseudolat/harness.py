@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import problems_per_call
 from .geometry import (
     CircularTrajectory,
     LinearTrajectory,
@@ -29,11 +30,12 @@ from .geometry import (
     revolution_period,
     sample_trajectory,
 )
-from .localization import SolveOptions, pseudo_multilaterate_static
+from .localization import SolveOptions, pseudo_multilaterate_static_batch
 from .ranging import (
     NoiseModel,
     Obstacle,
     RangeMeasurement,
+    _fmt,
     build_measurement_matrix,
     collect_measurements,
     export_dataset,
@@ -600,7 +602,12 @@ def parse_crlb_config(raw: dict):
     eta = _as_number(sig.pop("eta", 0.0), "sigma.eta")
     _done(sig, "sigma")
     _done(d, "")
-    if sigma0 <= 0 and eta <= 0:
+    # Same domain as NoiseModel: both terms nonnegative, the std positive.
+    if sigma0 < 0:
+        raise ConfigError("field sigma.sigma0 must be >= 0")
+    if eta < 0:
+        raise ConfigError("field sigma.eta must be >= 0")
+    if sigma0 == 0 and eta == 0:
         raise ConfigError("field sigma must give a positive std")
     return anchors, target, (lambda dist: sigma0 + eta * dist)
 
@@ -653,53 +660,80 @@ def _collect_waveform_backed(
     return out
 
 
-def _run_single(cfg: ScenarioConfig, run: int) -> RunRecord:
-    spec = cfg.trajectory
-    t_cursor = 0.0
-    hist_t: list[float] = []
-    hist_p: list[np.ndarray] = []
-    rev_errors: list[float] = []
-    sol = None
-    true_mid = None
-    for rev in range(cfg.n_revolutions):
-        n_samples = cfg.samples_per_rev(spec)
-        anchor_path = sample_trajectory(spec, t_cursor, cfg.dt, n_samples)
-        target_path = cfg.target.series_at(anchor_path.t)
-        seed = _derived_seed(cfg.base_seed, run, rev)
-        if isinstance(cfg.noise, NoiseModel):
-            model = dataclasses.replace(cfg.noise, seed=seed)
-            meas = collect_measurements(anchor_path, target_path, cfg.obstacles, model)
-        else:
-            meas = _collect_waveform_backed(
-                anchor_path, target_path, cfg.obstacles, cfg.noise, seed
-            )
-        sol = pseudo_multilaterate_static(meas, cfg.solver)
-        t_mid = 0.5 * float(anchor_path.t[0] + anchor_path.t[-1])
-        true_mid = cfg.target.position_at(t_mid)
-        rev_errors.append(distance(sol.p_hat, true_mid))
-        hist_t.append(t_mid)
-        hist_p.append(sol.p_hat.as_array())
-        if cfg.relocation is not None and rev < cfg.n_revolutions - 1:
-            history = WaypointSeries(np.array(hist_t), np.array(hist_p))
-            predicted = predict_target(history, horizon=revolution_period(spec))
-            spec = relocate(spec, predicted, cfg.relocation)
-        t_cursor += n_samples * cfg.dt
-    return RunRecord(
-        run=run,
-        true_pos=true_mid,
-        est=sol.p_hat,
-        err_m=rev_errors[-1],
-        residual=sol.residual,
-        converged=sol.converged,
-        n_alternates=len(sol.alternates),
-        rev_errors=tuple(rev_errors),
-    )
+def _collect(cfg: ScenarioConfig, anchor_path: WaypointSeries, seed: int) -> list[RangeMeasurement]:
+    target_path = cfg.target.series_at(anchor_path.t)
+    if isinstance(cfg.noise, NoiseModel):
+        model = dataclasses.replace(cfg.noise, seed=seed)
+        return collect_measurements(anchor_path, target_path, cfg.obstacles, model)
+    return _collect_waveform_backed(anchor_path, target_path, cfg.obstacles, cfg.noise, seed)
+
+
+@dataclass
+class _RunState:
+    """One Monte-Carlo run between revolutions."""
+
+    spec: TrajectorySpec
+    t_cursor: float = 0.0
+    hist_t: list = dataclasses.field(default_factory=list)
+    hist_p: list = dataclasses.field(default_factory=list)
+    rev_errors: list = dataclasses.field(default_factory=list)
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
-    """Execute all Monte-Carlo runs of a scenario and aggregate metrics."""
+    """Execute all Monte-Carlo runs of a scenario and aggregate metrics.
+
+    All runs advance through each revolution together: every run ranges the
+    target along its own path with its own (base_seed, run, revolution)
+    seed, the runs are solved in blocks of one capped kernel call each, and
+    under a relocation policy each run then re-centres its circle.
+    """
     start = time.perf_counter()
-    records = _map_indexed(lambda run: _run_single(cfg, run), cfg.runs)
+    states = [_RunState(cfg.trajectory) for _ in range(cfg.runs)]
+    per_call = problems_per_call(len(cfg.solver.start_points()))
+    blocks = [range(b, min(b + per_call, cfg.runs)) for b in range(0, cfg.runs, per_call)]
+    for rev in range(cfg.n_revolutions):
+
+        def measure(run: int):
+            st = states[run]
+            n_samples = cfg.samples_per_rev(st.spec)
+            anchor_path = sample_trajectory(st.spec, st.t_cursor, cfg.dt, n_samples)
+            meas = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, rev))
+            t_mid = 0.5 * float(anchor_path.t[0] + anchor_path.t[-1])
+            return t_mid, anchor_path.p, np.array([m.d_meas for m in meas])
+
+        ranged = _map_indexed(measure, cfg.runs)
+
+        def solve(i: int):
+            block = blocks[i]
+            anchors = np.stack([ranged[run][1] for run in block])
+            d = np.stack([ranged[run][2] for run in block])
+            return pseudo_multilaterate_static_batch(anchors, d, cfg.solver)
+
+        sols = [sol for block_sols in _map_indexed(solve, len(blocks)) for sol in block_sols]
+        for run, (st, sol) in enumerate(zip(states, sols)):
+            t_mid, anchor_p, _ = ranged[run]
+            true_mid = cfg.target.position_at(t_mid)
+            st.rev_errors.append(distance(sol.p_hat, true_mid))
+            st.hist_t.append(t_mid)
+            st.hist_p.append(sol.p_hat.as_array())
+            if cfg.relocation is not None and rev < cfg.n_revolutions - 1:
+                history = WaypointSeries(np.array(st.hist_t), np.array(st.hist_p))
+                predicted = predict_target(history, horizon=revolution_period(st.spec))
+                st.spec = relocate(st.spec, predicted, cfg.relocation)
+            st.t_cursor += anchor_p.shape[0] * cfg.dt
+    records = [
+        RunRecord(
+            run=run,
+            true_pos=cfg.target.position_at(st.hist_t[-1]),
+            est=sol.p_hat,
+            err_m=st.rev_errors[-1],
+            residual=sol.residual,
+            converged=sol.converged,
+            n_alternates=len(sol.alternates),
+            rev_errors=tuple(st.rev_errors),
+        )
+        for run, (st, sol) in enumerate(zip(states, sols))
+    ]
     runtime = time.perf_counter() - start
     return MetricsReport(
         scenario=cfg.name,
@@ -720,13 +754,7 @@ def scenario_matrices(cfg: ScenarioConfig, run: int = 0):
     n_samples = cfg.samples_per_rev(spec)
     total = n_samples * cfg.n_revolutions
     anchor_path = sample_trajectory(spec, 0.0, cfg.dt, total)
-    target_path = cfg.target.series_at(anchor_path.t)
-    seed = _derived_seed(cfg.base_seed, run, 0)
-    if isinstance(cfg.noise, NoiseModel):
-        model = dataclasses.replace(cfg.noise, seed=seed)
-        meas = collect_measurements(anchor_path, target_path, cfg.obstacles, model)
-    else:
-        meas = _collect_waveform_backed(anchor_path, target_path, cfg.obstacles, cfg.noise, seed)
+    meas = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, 0))
     labels = [
         cfg.target.position_at(0.5 * cfg.dt * (r * n_samples + (r + 1) * n_samples - 1))
         for r in range(cfg.n_revolutions)
@@ -746,6 +774,7 @@ class WaveformComparison:
     histogram: HistogramSpec
 
     def cell_stats(self) -> list[dict]:
+        """Per cell: counts and error statistics, nan where all are censored."""
         rows = []
         for (scheme, df), err in sorted(self.errors.items()):
             ok = err[np.isfinite(err)]
@@ -755,21 +784,22 @@ class WaveformComparison:
                     "delta_f_hz": df,
                     "trials": int(err.size),
                     "censored": int(err.size - ok.size),
-                    "mean_error_m": float(np.mean(ok)),
-                    "median_error_m": float(np.median(ok)),
-                    "variance_m2": float(np.var(ok)),
+                    "mean_error_m": float(np.mean(ok)) if ok.size else math.nan,
+                    "median_error_m": float(np.median(ok)) if ok.size else math.nan,
+                    "variance_m2": float(np.var(ok)) if ok.size else math.nan,
                 }
             )
         return rows
 
     def improvement_ratios(self) -> dict:
-        """Per spacing: OTFS mean error divided by OFDM mean error."""
+        """Per spacing: OTFS mean error divided by OFDM mean error, over the
+        trials both schemes detected (nan if there are none)."""
         out = {}
         for df in self.spacings_hz:
             ofdm = self.errors[("ofdm", df)]
             otfs = self.errors[("otfs", df)]
             both = np.isfinite(ofdm) & np.isfinite(otfs)
-            out[df] = float(np.mean(otfs[both]) / np.mean(ofdm[both]))
+            out[df] = float(np.mean(otfs[both]) / np.mean(ofdm[both])) if both.any() else math.nan
         return out
 
 
@@ -818,10 +848,6 @@ def compare_waveforms(cfg: CompareConfig) -> WaveformComparison:
 
 # ---------------------------------------------------------------------------
 # Output files
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def write_report_csv(report: MetricsReport, path) -> None:
@@ -896,13 +922,20 @@ def write_waveform_hist_csv(cmp: WaveformComparison, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_or_null(v):
+    # Strict JSON has no NaN or Infinity: a statistic with no data is null.
+    return v if not isinstance(v, float) or math.isfinite(v) else None
+
+
 def write_comparison_json(cmp: WaveformComparison, path) -> None:
     payload = {
         "version": 1,
         "trials": cmp.trials,
-        "cells": cmp.cell_stats(),
+        "cells": [
+            {k: _finite_or_null(v) for k, v in row.items()} for row in cmp.cell_stats()
+        ],
         "otfs_over_ofdm_mean_ratio": {
-            _fmt(df): ratio for df, ratio in cmp.improvement_ratios().items()
+            _fmt(df): _finite_or_null(ratio) for df, ratio in cmp.improvement_ratios().items()
         },
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

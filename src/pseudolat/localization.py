@@ -29,6 +29,7 @@ __all__ = [
     "residual_jacobian",
     "multilaterate",
     "pseudo_multilaterate_static",
+    "pseudo_multilaterate_static_batch",
     "pseudo_multilaterate_moving",
     "crlb",
 ]
@@ -165,13 +166,17 @@ def _solve_clusters(
     opts: SolveOptions,
     extra_starts: Sequence[np.ndarray] = (),
 ):
+    """Clustered minima of each problem: anchors (B, K, 3), d (B, K)."""
     lo = np.array([b[0] for b in opts.bounds])
     hi = np.array([b[1] for b in opts.bounds])
     starts = opts.start_points(extra_starts)
     points, residuals, _, conv, _ = _kernels.lm_solve_batch(
         anchors, d, starts, lo, hi, opts.max_iter, opts.grad_tol, opts.step_tol, opts.damping0
     )
-    return _cluster_minima(points, residuals, conv, opts.ambiguity_min_sep)
+    return [
+        _cluster_minima(points[b], residuals[b], conv[b], opts.ambiguity_min_sep)
+        for b in range(points.shape[0])
+    ]
 
 
 def _solution_from_clusters(clusters, opts: SolveOptions) -> Solution:
@@ -213,7 +218,7 @@ def multilaterate(ranges: Sequence[AnchorRange], opts: SolveOptions = SolveOptio
         centered = anchors - anchors.mean(axis=0)
         if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < 3:
             raise GeometryError("anchors are coplanar; 3D solve is degenerate")
-    clusters = _solve_clusters(anchors, d, opts)
+    clusters = _solve_clusters(anchors[None], d[None], opts)[0]
     return _solution_from_clusters(clusters, opts)
 
 
@@ -226,12 +231,23 @@ def pseudo_multilaterate_static(
     enforced: a straight anchor path yields two residual-equivalent minima
     and the second one is reported in ``alternates`` rather than hidden.
     """
-    if len(meas) < 3:
-        raise ValueError(f"need >= 3 measurements, got {len(meas)}")
-    anchors = np.array([m.anchor.as_array() for m in meas])
+    anchors = np.array([m.anchor.as_array() for m in meas]).reshape(-1, 3)
     d = np.array([m.d_meas for m in meas])
-    clusters = _solve_clusters(anchors, d, opts)
-    return _solution_from_clusters(clusters, opts)
+    return pseudo_multilaterate_static_batch(anchors[None], d[None], opts)[0]
+
+
+def pseudo_multilaterate_static_batch(
+    anchors: np.ndarray, d: np.ndarray, opts: SolveOptions = SolveOptions()
+) -> list[Solution]:
+    """:func:`pseudo_multilaterate_static` for B problems at once.
+
+    ``anchors`` (B, K, 3) holds each problem's anchor positions and ``d``
+    (B, K) its ranges. All problems share the kernel's vectorized passes,
+    and every problem's solution is bit-identical to solving it alone.
+    """
+    if anchors.shape[1] < 3:
+        raise ValueError(f"need >= 3 measurements, got {anchors.shape[1]}")
+    return [_solution_from_clusters(c, opts) for c in _solve_clusters(anchors, d, opts)]
 
 
 def pseudo_multilaterate_moving(
@@ -262,7 +278,7 @@ def pseudo_multilaterate_moving(
         anchors = np.array([m.anchor.as_array() for m in sub])
         d = np.array([m.d_meas for m in sub])
         extra = (prev,) if prev is not None else ()
-        clusters = _solve_clusters(anchors, d, opts, extra_starts=extra)
+        clusters = _solve_clusters(anchors[None], d[None], opts, extra_starts=extra)[0]
         sol = _solution_from_clusters(clusters, opts)
         prev = sol.p_hat.as_array()
         t_out.append(0.5 * (sub[0].t + sub[-1].t))

@@ -220,6 +220,7 @@ def build_measurement_matrix(
 
 
 def _fmt(v: float) -> str:
+    # Shortest round-trip decimal: re-parsing gives the same float64 bits.
     return repr(float(v))
 
 

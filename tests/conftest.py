@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudolat import _kernels
 from pseudolat.geometry import WaypointSeries
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compile once so individual tests measure algorithm time only.
-    _kernels.warmup()
 
 
 @pytest.fixture

@@ -118,6 +118,23 @@ def test_crlb_subcommand(tmp_path, capsys):
     assert payload["rank"] == 3
 
 
+@pytest.mark.parametrize(
+    "sigma, field",
+    [({"sigma0": -1.0, "eta": 0.01}, "sigma.sigma0"), ({"sigma0": 1.0, "eta": -0.01}, "sigma.eta")],
+)
+def test_crlb_negative_sigma_term_exits_2(tmp_path, capsys, sigma, field):
+    cfg = {
+        "version": 1,
+        "anchors": [[10.0, 0.0, 10.0], [0.0, 10.0, 10.0], [-10.0, 0.0, 10.0], [0.0, -10.0, 10.0]],
+        "target": [0.0, 0.0, 0.0],
+        "sigma": sigma,
+    }
+    path = tmp_path / "crlb.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--out-dir", str(tmp_path / "out"), "crlb", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_export_dataset(tmp_path, scenario_file):
     out = tmp_path / "out"
     code = main(["--out-dir", str(out), "--quiet", "export-dataset", str(scenario_file)])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,30 @@ class TestRunScenario:
         par = run_scenario(cfg)
         assert [r.err_m for r in seq.records] == [r.err_m for r in par.records]
 
+    def test_runs_do_not_depend_on_run_count(self):
+        # Runs are solved in blocks; a run's record must not depend on how
+        # many other runs share its revolution or its kernel call.
+        raw = base_scenario(
+            trajectory={
+                "kind": "circular",
+                "center": [120.0, 0.0, 40.0],
+                "radius": 50.0,
+                "angular_speed": 2 * math.pi / 60,
+                "phase0": 0.0,
+            },
+            n_revolutions=2,
+            relocation={
+                "min_radius": 15.0,
+                "shrink_factor": 0.5,
+                "max_center_step": 400.0,
+                "altitude": 40.0,
+            },
+        )
+        few = run_scenario(parse_scenario_config(dict(raw, runs=3)))
+        many = run_scenario(parse_scenario_config(dict(raw, runs=7)))
+        assert few.records == many.records[:3]
+        assert len({r.rev_errors for r in many.records}) == 7
+
     def test_moving_target_errors_stay_bounded(self):
         raw = base_scenario(
             target={"kind": "linear", "start": [5.0, -5.0, 0.0], "velocity": [0.3, 0.0, 0.0]},
@@ -288,3 +313,31 @@ class TestCompare:
         b = compare_waveforms(cfg)
         for key in a.errors:
             assert np.array_equal(a.errors[key], b.errors[key], equal_nan=True)
+
+    def test_all_censored_cell_writes_strict_json(self, tmp_path):
+        from pseudolat.harness import WaveformComparison, write_comparison_json
+
+        def no_constants(name):
+            raise AssertionError(f"non-JSON constant {name} in the summary")
+
+        cmp = WaveformComparison(
+            spacings_hz=(30e3,),
+            trials=2,
+            errors={
+                ("ofdm", 30e3): np.array([math.nan, math.nan]),
+                ("otfs", 30e3): np.array([1.5, math.nan]),
+            },
+            histogram=HistogramSpec(),
+        )
+        path = tmp_path / "waveform_summary.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_comparison_json(cmp, path)
+        payload = json.loads(path.read_text(), parse_constant=no_constants)
+        ofdm, otfs = payload["cells"]
+        assert (ofdm["scheme"], ofdm["trials"], ofdm["censored"]) == ("ofdm", 2, 2)
+        assert ofdm["mean_error_m"] is None
+        assert ofdm["median_error_m"] is None
+        assert ofdm["variance_m2"] is None
+        assert (otfs["trials"], otfs["censored"], otfs["mean_error_m"]) == (2, 1, 1.5)
+        assert payload["otfs_over_ofdm_mean_ratio"] == {"30000.0": None}

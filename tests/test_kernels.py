@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from lm_reference import _lm_solve_batch_loops
 
 from pseudolat import _kernels
 
@@ -14,24 +15,8 @@ def _random_problem(rng, k=30):
     return anchors, d, target
 
 
-def _solvers(monkeypatch):
-    """Every path of the solver this machine can run, by name.
-
-    numba only compiles `_lm_solve_batch_loops`, so the loop algorithm is
-    checked as plain Python everywhere, and jitted where numba is installed.
-    """
-
-    def via(backend):
-        def solve(*args):
-            monkeypatch.setenv("PSEUDOLAT_BACKEND", backend)
-            return _kernels.lm_solve_batch(*args)
-
-        return solve
-
-    solvers = {"loops": _kernels._lm_solve_batch_loops, "numpy": via("numpy")}
-    if _kernels._HAVE_NUMBA:
-        solvers["numba"] = via("numba")
-    return solvers
+# The scalar reference loops and the vectorized kernel, by name.
+SOLVERS = {"loops": _lm_solve_batch_loops, "numpy": _kernels.lm_solve_batch}
 
 
 def _solve(anchors, d, solve, lo=(-100.0, -100.0, 0.0), hi=(100.0, 100.0, 10.0)):
@@ -48,31 +33,30 @@ def _best(result):
     return p[i], f[i]
 
 
-def test_backends_agree_on_minima(monkeypatch):
+def test_backends_agree_on_minima():
     rng = np.random.default_rng(100)
-    solvers = _solvers(monkeypatch)
     for _ in range(5):
         anchors, d, _ = _random_problem(rng)
-        best = {name: _best(_solve(anchors, d, solve)) for name, solve in solvers.items()}
+        best = {name: _best(_solve(anchors, d, solve)) for name, solve in SOLVERS.items()}
         p_np, f_np = best.pop("numpy")
         for p, f in best.values():
             assert f == pytest.approx(f_np, rel=1e-6, abs=1e-9)
             assert np.allclose(p, p_np, atol=1e-5)
 
 
-def test_iterates_stay_in_box(monkeypatch):
+def test_iterates_stay_in_box():
     # The target (12.5, 39.7, 7.6) lies outside this box, so the solver is
     # pressed against its faces and only the clipping keeps it inside.
     rng = np.random.default_rng(7)
     anchors, d, _ = _random_problem(rng)
     lo = np.array([-10.0, -10.0, 0.0])
     hi = np.array([10.0, 10.0, 2.0])
-    for solve in _solvers(monkeypatch).values():
+    for solve in SOLVERS.values():
         p, _, _, _, _ = _solve(anchors, d, solve, lo, hi)
         assert np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12)
 
 
-def test_degenerate_axis_is_frozen(monkeypatch):
+def test_degenerate_axis_is_frozen():
     rng = np.random.default_rng(8)
     anchors = rng.uniform(-80, 80, (30, 3))
     anchors[:, 2] = rng.uniform(60, 140, 30)
@@ -81,22 +65,20 @@ def test_degenerate_axis_is_frozen(monkeypatch):
     lo = np.array([-100.0, -100.0, 0.0])
     hi = np.array([100.0, 100.0, 0.0])
     starts = np.array([[0.0, 0.0, 0.0], [50.0, -50.0, 0.0]])
-    for solve in _solvers(monkeypatch).values():
+    for solve in SOLVERS.values():
         p, _, _, conv, _ = solve(anchors, d, starts, lo, hi, 200, 1e-9, 1e-12, 1e-3)
         assert np.all(p[:, 2] == 0.0)
         assert np.all(conv)
         assert np.allclose(p, target, atol=1e-6)
 
 
-def test_noisy_minimum_found_even_if_gradient_floor_not_reached(monkeypatch):
+def test_noisy_minimum_found_even_if_gradient_floor_not_reached():
     # With large noisy residuals the absolute 1e-9 gradient tolerance can
     # be below the floating-point floor; the minimizer must still stop at
-    # the minimum and agree across backends.
+    # the minimum and the two implementations must agree.
     rng = np.random.default_rng(8)
     anchors, d, _ = _random_problem(rng)
-    results = {
-        name: _best(_solve(anchors, d, solve)) for name, solve in _solvers(monkeypatch).items()
-    }
+    results = {name: _best(_solve(anchors, d, solve)) for name, solve in SOLVERS.items()}
     p_np, f_np = results.pop("numpy")
     for p, f in results.values():
         assert f == pytest.approx(f_np, rel=1e-9)
@@ -104,31 +86,92 @@ def test_noisy_minimum_found_even_if_gradient_floor_not_reached(monkeypatch):
 
 
 def test_backend_selection(monkeypatch):
-    for have_numba in (True, False):
-        monkeypatch.setattr(_kernels, "_HAVE_NUMBA", have_numba)
-        monkeypatch.setenv("PSEUDOLAT_BACKEND", "numpy")
-        assert _kernels.backend() == "numpy"
-        monkeypatch.setenv("PSEUDOLAT_BACKEND", "numba")
-        if have_numba:
-            assert _kernels.backend() == "numba"
+    # One kernel: PSEUDOLAT_BACKEND is no longer read.
+    for value in (None, "numpy", "numba", "cuda"):
+        if value is None:
+            monkeypatch.delenv("PSEUDOLAT_BACKEND", raising=False)
         else:
-            with pytest.raises(RuntimeError):
-                _kernels.backend()
-        monkeypatch.delenv("PSEUDOLAT_BACKEND")
-        assert _kernels.backend() == ("numba" if have_numba else "numpy")
-        monkeypatch.setenv("PSEUDOLAT_BACKEND", "cuda")
-        with pytest.raises(RuntimeError):
-            _kernels.backend()
+            monkeypatch.setenv("PSEUDOLAT_BACKEND", value)
+        assert _kernels.backend() == "numpy"
 
 
-def test_noiseless_convergence_both_backends(monkeypatch):
+def test_noiseless_convergence_both_backends():
     rng = np.random.default_rng(9)
     anchors = rng.uniform(-60, 60, (40, 3))
     anchors[:, 2] = 100.0
     target = np.array([12.0, -7.0, 0.0])
     d = np.linalg.norm(anchors - target, axis=1)
-    for solve in _solvers(monkeypatch).values():
+    for solve in SOLVERS.values():
         p, f, _, conv, _ = _solve(anchors, d, solve)
         best = np.argmin(f)
         assert np.linalg.norm(p[best] - target) < 1e-6
         assert conv[best]
+
+
+# ---------------------------------------------------------------------------
+# Batching: a problem's outputs do not depend on the problems beside it.
+
+_ARGS = (200, 1e-9, 1e-12, 1e-3)
+
+
+def _batch(seed, n_problems=20, k=40):
+    """Problems with different anchors; every third target is outside the
+    box x, y in [-30, 30], so those solves end pressed against its faces."""
+    rng = np.random.default_rng(seed)
+    anchors = np.empty((n_problems, k, 3))
+    d = np.empty((n_problems, k))
+    for b in range(n_problems):
+        a, d[b], _ = _random_problem(rng, k)
+        anchors[b] = a
+        if b % 3 == 0:
+            target = np.array([45.0, -60.0, 3.0]) + rng.uniform(-5, 5, 3)
+            d[b] = np.linalg.norm(a - target, axis=1) + rng.normal(0, 0.5, k)
+    return anchors, np.maximum(d, 0.0)
+
+
+_BOXES = {
+    "box": (np.array([-30.0, -30.0, 0.0]), np.array([30.0, 30.0, 10.0])),
+    "pinned_z": (np.array([-30.0, -30.0, 0.0]), np.array([30.0, 30.0, 0.0])),
+}
+
+
+def _starts(lo, hi):
+    xs = np.linspace(lo[0], hi[0], 4)
+    return np.array([[x, y, lo[2]] for x in xs for y in xs])
+
+
+@pytest.mark.parametrize("box", sorted(_BOXES))
+def test_batch_equals_single_calls(box):
+    lo, hi = _BOXES[box]
+    anchors, d = _batch(11)
+    shared = _starts(lo, hi)  # 16 starts: 20 problems exceed one capped call
+    rng = np.random.default_rng(12)
+    own = shared[None] + rng.uniform(-3, 3, (anchors.shape[0],) + shared.shape)
+    for starts in (shared, own):
+        batched = _kernels.lm_solve_batch(anchors, d, starts, lo, hi, *_ARGS)
+        assert batched[0].shape == (anchors.shape[0], shared.shape[0], 3)
+        for b in range(anchors.shape[0]):
+            single = _kernels.lm_solve_batch(
+                anchors[b], d[b], starts if starts.ndim == 2 else starts[b], lo, hi, *_ARGS
+            )
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[b], want)
+    # the box really is binding for some lanes and the pinned axis stays put
+    p = batched[0]
+    assert np.any(np.isclose(p[:, :, :2], lo[:2]) | np.isclose(p[:, :, :2], hi[:2]))
+    if box == "pinned_z":
+        assert np.all(p[:, :, 2] == 0.0)
+
+
+def test_batch_grouping_does_not_change_outputs():
+    lo, hi = _BOXES["box"]
+    anchors, d = _batch(13, n_problems=17)
+    starts = _starts(lo, hi)
+    whole = _kernels.lm_solve_batch(anchors, d, starts, lo, hi, *_ARGS)
+    for cuts in ([3, 10], [1, 2, 16], [8], [0, 5, 5]):  # [0:0] and [5:5] are empty
+        parts = [
+            _kernels.lm_solve_batch(anchors[a:b], d[a:b], starts, lo, hi, *_ARGS)
+            for a, b in zip([0] + cuts, cuts + [anchors.shape[0]])
+        ]
+        for i, want in enumerate(whole):
+            assert np.array_equal(np.concatenate([part[i] for part in parts]), want)
