@@ -26,6 +26,7 @@ from .geometry import (
     Position3,
     TrajectorySpec,
     WaypointSeries,
+    constant_series,
     distance,
     revolution_period,
     sample_trajectory,
@@ -91,7 +92,7 @@ class StaticTarget:
     position: Position3
 
     def series_at(self, t: np.ndarray) -> WaypointSeries:
-        return WaypointSeries(t, np.tile(self.position.as_array(), (t.size, 1)))
+        return constant_series(t, self.position)
 
     def position_at(self, t: float) -> Position3:
         return self.position
@@ -119,9 +120,13 @@ class HistogramSpec:
         if self.bin_width_m <= 0 or self.max_m <= 0:
             raise ValueError("histogram bin width and range must be > 0")
 
-    def counts(self, errors: np.ndarray) -> tuple[list[int], int]:
+    def edges(self) -> np.ndarray:
+        """Bin edges 0, w, 2w, ... up to ``max_m`` rounded to whole bins."""
         n_bins = int(round(self.max_m / self.bin_width_m))
-        edges = self.bin_width_m * np.arange(n_bins + 1)
+        return self.bin_width_m * np.arange(n_bins + 1)
+
+    def counts(self, errors: np.ndarray) -> tuple[list[int], int]:
+        edges = self.edges()
         finite = errors[np.isfinite(errors)]
         counts, _ = np.histogram(finite, bins=edges)
         overflow = int(np.sum(finite > edges[-1]))
@@ -906,14 +911,13 @@ def write_waveform_censored_csv(cmp: WaveformComparison, path) -> None:
 
 def write_waveform_hist_csv(cmp: WaveformComparison, path) -> None:
     spec = cmp.histogram
-    n_bins = int(round(spec.max_m / spec.bin_width_m))
-    edges = spec.bin_width_m * np.arange(n_bins + 1)
+    edges = spec.edges()
     lines = ["scheme,delta_f_hz,bin_left_m,bin_right_m,density"]
     for (scheme, df), err in sorted(cmp.errors.items()):
         ok = err[np.isfinite(err)]
         counts, _ = np.histogram(ok, bins=edges)
         total = max(int(ok.size), 1)
-        for b in range(n_bins):
+        for b in range(counts.size):
             density = counts[b] / (total * spec.bin_width_m)
             lines.append(
                 f"{scheme},{_fmt(df)},{_fmt(edges[b])},{_fmt(edges[b + 1])},{_fmt(density)}"

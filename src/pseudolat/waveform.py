@@ -233,11 +233,18 @@ def _pilot_spectrum(cfg: WaveformConfig, total: int) -> np.ndarray:
     return spec
 
 
-@functools.lru_cache(maxsize=64)
-def _unit_fftfreq(total: int) -> np.ndarray:
-    f = np.fft.fftfreq(total)
-    f.setflags(write=False)
-    return f
+def _phase_ramp(theta0: float, w: float, n: int) -> np.ndarray:
+    """exp(j (theta0 + w k)) for k < n, from two tables of about sqrt(n) terms.
+
+    With k = b q + r the ramp is the outer product of exp(j (theta0 + w b q))
+    and exp(j w r), so it costs O(sqrt(n)) complex exponentials plus one
+    complex multiply per sample instead of n exponentials.
+    """
+    b = max(1, math.isqrt(n))
+    q = -(-n // b)
+    lo = np.exp(1j * w * np.arange(b))
+    hi = np.exp(1j * (theta0 + w * b * np.arange(q)))
+    return np.outer(hi, lo).ravel()[:n]
 
 
 def apply_channel(
@@ -258,8 +265,8 @@ def apply_channel(
     if max(delays_samp) >= cfg.fft_size:
         raise ValueError("path delay exceeds one symbol duration")
     total = _next_fast_len(x.size + int(np.ceil(max(delays_samp))) + 16)
+    n_pos = (total - 1) // 2 + 1  # bins of fftfreq's non-negative half
     y = np.zeros(total, dtype=np.complex128)
-    t = np.arange(total) / fs
     spectrum = None
     for p, a in zip(paths.paths, delays_samp):
         ai = int(round(a))
@@ -272,17 +279,25 @@ def apply_channel(
                     spectrum = _pilot_spectrum(cfg, total)
                 else:
                     spectrum = np.fft.fft(x, total)
-            freqs = _unit_fftfreq(total) * fs
-            shifted = np.fft.ifft(spectrum * np.exp(-2j * np.pi * freqs * p.delay))
+            # bin k carries frequency k fs / total below n_pos, (k - total) fs / total from it
+            w = -2.0 * np.pi * a / total
+            ramp = np.concatenate(
+                [_phase_ramp(0.0, w, n_pos), _phase_ramp(w * (n_pos - total), w, total - n_pos)]
+            )
+            ramp *= spectrum
+            shifted = np.fft.ifft(ramp)
         if p.doppler != 0.0:
-            shifted = shifted * np.exp(2j * np.pi * p.doppler * t)
+            shifted *= _phase_ramp(0.0, 2.0 * np.pi * p.doppler / fs, total)
         y += p.gain * shifted
     if math.isfinite(paths.snr_db):
         power = float(np.mean(np.abs(y) ** 2))
         if power > 0:
             sigma2 = power * 10.0 ** (-paths.snr_db / 10.0)
-            scale = math.sqrt(sigma2 / 2.0)
-            y = y + scale * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
+            # one draw of 2 * total is the same stream as two draws of total
+            z = rng.standard_normal(2 * total)
+            z *= math.sqrt(sigma2 / 2.0)
+            y.real += z[:total]
+            y.imag += z[total:]
     return y
 
 

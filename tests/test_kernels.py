@@ -175,3 +175,43 @@ def test_batch_grouping_does_not_change_outputs():
         ]
         for i, want in enumerate(whole):
             assert np.array_equal(np.concatenate([part[i] for part in parts]), want)
+
+
+# ---------------------------------------------------------------------------
+# Iteration counts. The reference loops stop a few iterations apart from the
+# kernel (rounding), so these pin the kernel's own counts and properties.
+
+
+def test_start_at_noiseless_target_takes_no_iteration():
+    rng = np.random.default_rng(9)
+    anchors = rng.uniform(-60, 60, (40, 3))
+    anchors[:, 2] = 100.0
+    target = np.array([12.0, -7.0, 3.0])
+    d = np.linalg.norm(anchors - target, axis=1)
+    lo, hi = np.array([-100.0, -100.0, 0.0]), np.array([100.0, 100.0, 10.0])
+    _, _, _, conv, iters = _kernels.lm_solve_batch(anchors, d, target[None], lo, hi, *_ARGS)
+    assert iters.tolist() == [0]
+    assert conv.tolist() == [True]
+
+
+def test_iters_bounded_by_max_iter():
+    lo, hi = _BOXES["box"]
+    anchors, d = _batch(11)
+    starts = _starts(lo, hi)
+    for max_iter in (1, 3, 200):
+        iters = _kernels.lm_solve_batch(anchors, d, starts, lo, hi, max_iter, *_ARGS[1:])[4]
+        assert iters.min() >= 0 and iters.max() <= max_iter
+        if max_iter < 200:  # the cap binds: some lane is still running at it
+            assert iters.max() == max_iter
+
+
+def test_iters_recorded():
+    # Counts of the kernel on this problem; converged starts count every
+    # iteration, stalled ones (conv False) not the step that stalled.
+    anchors, d, _ = _random_problem(np.random.default_rng(100))
+    _, _, _, conv, iters = _solve(anchors, d, _kernels.lm_solve_batch)
+    assert iters.tolist() == [40, 6, 9, 42, 6, 6, 9, 8, 6, 5, 6, 6, 6, 38, 8, 6]
+    assert conv.tolist() == [
+        False, True, True, False, True, True, True, True,
+        True, True, True, True, True, False, True, True,
+    ]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from waveform_reference import apply_channel as reference_channel
 
 from pseudolat.waveform import (
     C_LIGHT,
@@ -11,6 +12,7 @@ from pseudolat.waveform import (
     PathSet,
     ToaEstimate,
     WaveformConfig,
+    _phase_ramp,
     apply_channel,
     estimate_toa,
     isfft,
@@ -143,6 +145,84 @@ class TestChannel:
             PathSet((Path(delay=0.0, doppler=0.0, gain=0j),))
         with pytest.raises(ValueError):
             Path(delay=-1e-9, doppler=0.0, gain=1 + 0j)
+
+
+# fig5's numerology (both schemes, 30 and 120 kHz) and the OTFS stripe frame.
+NUMEROLOGIES = {
+    f"{scheme}_{int(df / 1e3)}k": WaveformConfig(scheme=scheme, n_symbols=128, subcarrier_spacing=df)
+    for scheme in ("ofdm", "otfs")
+    for df in (30e3, 120e3)
+}
+NUMEROLOGIES["stripe"] = WaveformConfig(scheme="otfs", n_symbols=32, subcarrier_spacing=120e3)
+
+F_MAX = 28e9 * 10.0 / C_LIGHT  # Doppler of a 10 m/s anchor at 28 GHz
+
+
+def _paths(cfg, delays_samples, dopplers, snr_db=math.inf):
+    gains = (1 + 0j, 0.6 - 0.3j, -0.2 + 0.5j)
+    return PathSet(
+        tuple(
+            Path(delay=a / cfg.sample_rate, doppler=nu, gain=g)
+            for a, nu, g in zip(delays_samples, dopplers, gains)
+        ),
+        snr_db=snr_db,
+    )
+
+
+CHANNELS = {
+    "integer_static": lambda cfg: _paths(cfg, (0, 13, 40), (0.0, 0.0, 0.0)),
+    "integer_doppler_noisy": lambda cfg: _paths(cfg, (7, 13, 40), (F_MAX, -0.4 * F_MAX, 5e3), 10.0),
+    "fractional_static_noisy": lambda cfg: _paths(cfg, (10.5, 23.25, 61.9), (0.0, 0.0, 0.0), -5.0),
+    "fractional_doppler": lambda cfg: _paths(cfg, (10.5, 23.25, 61.9), (F_MAX, 0.0, -F_MAX)),
+    "mixed": lambda cfg: _paths(cfg, (12, 23.25, 200.7), (0.0, -F_MAX, 0.7 * F_MAX), 0.0),
+    "nlos_ensemble": lambda cfg: NlosEnsemble().draw(cfg.carrier_freq, np.random.default_rng(21))[1],
+    "los_ensemble": lambda cfg: NlosEnsemble().draw_paths(
+        130.0, cfg.carrier_freq, np.random.default_rng(22), los=True
+    ),
+}
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestChannelMatchesReference:
+    """The table-built phase ramps against full-length exponentials."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 32805, 34992])
+    def test_phase_ramp_matches_exp(self, n):
+        for theta0 in (0.0, 2.5, -800.0):
+            for wn in (0.0, 1e-3, -7.0, 1e3, -1e3):
+                w = wn / n
+                got = _phase_ramp(theta0, w, n)
+                assert got.shape == (n,)
+                assert np.max(np.abs(got - np.exp(1j * (theta0 + w * np.arange(n))))) <= 1e-12
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize("numerology", sorted(NUMEROLOGIES))
+    def test_matches_reference(self, numerology, channel):
+        cfg = NUMEROLOGIES[numerology]
+        paths = CHANNELS[channel](cfg)
+        pilot = make_pilot(cfg)
+        rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = apply_channel(pilot, paths, cfg, rng)
+        want = reference_channel(pilot, paths, cfg, rng_ref)
+        assert got.shape == want.shape
+        assert _rel_err(got, want) <= 1e-12
+        # the single AWGN draw consumes the generator exactly like two
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("numerology", sorted(NUMEROLOGIES))
+    def test_uncached_spectrum_matches(self, numerology):
+        # A copy of the pilot is not the pilot object, so its spectrum is
+        # computed, not read from the cache; the samples must not change.
+        cfg = NUMEROLOGIES[numerology]
+        pilot = make_pilot(cfg)
+        copy = pilot.copy()
+        paths = CHANNELS["mixed"](cfg)
+        got = apply_channel(copy, paths, cfg, np.random.default_rng(4))
+        assert np.array_equal(got, apply_channel(pilot, paths, cfg, np.random.default_rng(4)))
+        assert _rel_err(got, reference_channel(copy, paths, cfg, np.random.default_rng(4))) <= 1e-12
 
 
 @pytest.mark.parametrize("cfg", [OFDM, OTFS], ids=["ofdm", "otfs"])
