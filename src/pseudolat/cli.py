@@ -17,13 +17,8 @@ from . import harness
 from .localization import crlb
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse already exits 2 on usage errors; keep messages on stderr.
-    pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pseudolat", description=__doc__)
+    parser = argparse.ArgumentParser(prog="pseudolat", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="override the config base seed")
     parser.add_argument("--runs", type=int, default=None, help="override runs/trials count")
     parser.add_argument("--out-dir", default=".", help="directory for output artifacts")

@@ -138,24 +138,24 @@ class WaveformRanging:
     """Waveform-backed measurement backend (one full ToA trial per sample)."""
 
     waveform: WaveformConfig
-    ensemble: NlosEnsemble
+    ensemble: NlosEnsemble = NlosEnsemble()
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
     trajectory: TrajectorySpec
     dt: float
     target: StaticTarget | LinearTarget
-    obstacles: tuple[Obstacle, ...]
     noise: NoiseModel | WaveformRanging
-    n_revolutions: int
-    relocation: RelocationPolicy | None
-    runs: int
-    base_seed: int
     solver: SolveOptions
-    histogram: HistogramSpec
+    name: str = "scenario"
     samples_per_revolution: int | None = None
+    obstacles: tuple[Obstacle, ...] = ()
+    n_revolutions: int = 1
+    relocation: RelocationPolicy | None = None
+    runs: int = 1
+    base_seed: int = 0
+    histogram: HistogramSpec = HistogramSpec()
 
     def samples_per_rev(self, spec: TrajectorySpec) -> int:
         if self.samples_per_revolution is not None:
@@ -213,28 +213,19 @@ def summary_stats(errors: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing: explicit walk, unknown fields rejected with their path.
+# Config parsing: ``_build`` walks a dataclass's fields, so each field's type
+# and default are written once, in its dataclass. Missing, mistyped and
+# unknown fields are rejected with their path.
 
-
-def _take(d: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"missing field {_join(path, key)}")
-        return default
-    return d.pop(key)
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _done(d: dict, path: str) -> None:
-    if d:
-        raise ConfigError(f"unknown field {_join(path, sorted(d)[0])}")
-
-
 def _as_number(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field {path} must be a number")
+    # json accepts NaN and Infinity, and no config field has a use for them.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"field {path} must be a finite number")
     return float(v)
 
 
@@ -244,10 +235,10 @@ def _as_int(v, path: str) -> int:
     return v
 
 
-def _as_vec3(v, path: str) -> Position3:
-    if not isinstance(v, list) or len(v) != 3:
-        raise ConfigError(f"field {path} must be a [x, y, z] triple")
-    return Position3(*(_as_number(c, f"{path}[{i}]") for i, c in enumerate(v)))
+def _as_str(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"field {path} must be a string")
+    return v
 
 
 def _as_dict(v, path: str) -> dict:
@@ -256,357 +247,185 @@ def _as_dict(v, path: str) -> dict:
     return dict(v)
 
 
-def _check_version(d: dict, path: str = "") -> None:
-    version = _take(d, "version", path)
+def _as_tuple(v, path: str, item, n: int | None = None, at_least: int = 0) -> tuple:
+    """A JSON list of exactly ``n`` (or at least ``at_least``) entries, each
+    converted by ``item``."""
+    if not isinstance(v, list) or (len(v) != n if n is not None else len(v) < at_least):
+        count = n if n is not None else f">= {at_least}"
+        raise ConfigError(f"field {path} must be a list of {count} entries")
+    return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
+def _as_vec3(v, path: str) -> Position3:
+    return Position3(*_as_tuple(v, path, _as_number, n=3))
+
+
+def _as_bounds(v, path: str):
+    return _as_tuple(v, path, lambda pair, p: _as_tuple(pair, p, _as_number, n=2), n=3)
+
+
+def _build(cls, v, path: str, rename=None, fixed=None, keys=None):
+    """Construct the dataclass ``cls`` from the JSON object ``v`` at ``path``.
+
+    Each field is read from its JSON key (the field name unless ``rename``
+    maps it) by the converter ``_CONVERT`` holds for its annotation; a field
+    whose key is absent takes its dataclass default. ``fixed`` sets fields
+    the config may not set, and ``keys``, if given, names the only fields it
+    may set: the key of any other field is unknown.
+    """
+    d = _as_dict(v, path)
+    rename, fixed = rename or {}, fixed or {}
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = rename.get(f.name, f.name)
+        if f.name in fixed:
+            kwargs[f.name] = fixed[f.name]
+        elif key in d and (keys is None or f.name in keys):
+            kwargs[f.name] = _CONVERT[f.type](d.pop(key), _join(path, key))
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing field {_join(path, key)}")
+    if d:
+        raise ConfigError(f"unknown field {_join(path, sorted(d)[0])}")
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"field {path}: {e}") from e
+
+
+def _kinds(table: dict, **options):
+    """Converter for a section whose ``kind`` picks its dataclass from ``table``."""
+
+    def convert(v, path: str):
+        d = _as_dict(v, path)
+        if "kind" not in d:
+            raise ConfigError(f"missing field {_join(path, 'kind')}")
+        kind = d.pop("kind")
+        if not isinstance(kind, str) or kind not in table:
+            allowed = " or ".join(repr(k) for k in table)
+            raise ConfigError(f"field {_join(path, 'kind')} must be {allowed}")
+        return _build(table[kind], d, path, **options)
+
+    return convert
+
+
+_WAVEFORM_KEYS = {"subcarrier_spacing": "subcarrier_spacing_hz", "carrier_freq": "carrier_freq_hz"}
+# The ambiguity_* thresholds of SolveOptions are not config fields.
+_SOLVER_KEYS = ("max_iter", "grad_tol", "step_tol", "multistart_grid", "damping0")
+
+# Converter per field annotation. Annotations are strings here and in every
+# module a config dataclass comes from (``from __future__ import annotations``).
+# No converter sees a null: ``_top_level`` drops the nullable keys set to null.
+_CONVERT = {
+    "float": _as_number,
+    "int": _as_int,
+    "int | None": _as_int,
+    "str": _as_str,
+    "Position3": _as_vec3,
+    "tuple[int, int, int]": lambda v, p: _as_tuple(v, p, _as_int, n=3),
+    "tuple[float, ...]": lambda v, p: _as_tuple(v, p, _as_number, at_least=1),
+    "tuple[Position3, ...]": lambda v, p: _as_tuple(v, p, _as_vec3, at_least=3),
+    "tuple[Obstacle, ...]": lambda v, p: _as_tuple(
+        v, p, lambda o, q: _build(Obstacle, o, q, rename={"min_corner": "min", "max_corner": "max"})
+    ),
+    "TrajectorySpec": _kinds({"circular": CircularTrajectory, "linear": LinearTrajectory}),
+    "StaticTarget | LinearTarget": _kinds({"static": StaticTarget, "linear": LinearTarget}),
+    "NoiseModel | WaveformRanging": _kinds(
+        {"statistical": NoiseModel, "waveform": WaveformRanging}, fixed={"seed": 0}
+    ),
+    "WaveformConfig": lambda v, p: _build(WaveformConfig, v, p, rename=_WAVEFORM_KEYS),
+    "NlosEnsemble": lambda v, p: _build(NlosEnsemble, v, p),
+    "RelocationPolicy | None": lambda v, p: _build(RelocationPolicy, v, p),
+    "HistogramSpec": lambda v, p: _build(HistogramSpec, v, p),
+    "_Sigma": lambda v, p: _build(_Sigma, v, p),
+}
+
+
+def _top_level(raw: dict, nullable: tuple[str, ...] = ()) -> dict:
+    """The config minus ``version``, which must be the integer 1, and minus
+    the ``nullable`` keys set to null, which take their defaults."""
+    d = {k: v for k, v in raw.items() if not (v is None and k in nullable)}
+    if "version" not in d:
+        raise ConfigError("missing field version")
+    version = _as_int(d.pop("version"), "version")
     if version != 1:
         raise ConfigError(f"unsupported config version {version!r} (expected 1)")
-
-
-def _parse_trajectory(v, path: str) -> TrajectorySpec:
-    d = _as_dict(v, path)
-    kind = _take(d, "kind", path)
-    try:
-        if kind == "circular":
-            spec = CircularTrajectory(
-                center=_as_vec3(_take(d, "center", path), _join(path, "center")),
-                radius=_as_number(_take(d, "radius", path), _join(path, "radius")),
-                angular_speed=_as_number(
-                    _take(d, "angular_speed", path), _join(path, "angular_speed")
-                ),
-                phase0=_as_number(_take(d, "phase0", path, False, 0.0), _join(path, "phase0")),
-            )
-        elif kind == "linear":
-            spec = LinearTrajectory(
-                start=_as_vec3(_take(d, "start", path), _join(path, "start")),
-                velocity=_as_vec3(_take(d, "velocity", path), _join(path, "velocity")),
-            )
-        else:
-            raise ConfigError(f"field {_join(path, 'kind')} must be 'circular' or 'linear'")
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"field {path}: {e}") from e
-    _done(d, path)
-    return spec
-
-
-def _parse_target(v, path: str):
-    d = _as_dict(v, path)
-    kind = _take(d, "kind", path)
-    try:
-        if kind == "static":
-            out = StaticTarget(_as_vec3(_take(d, "position", path), _join(path, "position")))
-        elif kind == "linear":
-            out = LinearTarget(
-                start=_as_vec3(_take(d, "start", path), _join(path, "start")),
-                velocity=_as_vec3(_take(d, "velocity", path), _join(path, "velocity")),
-            )
-        else:
-            raise ConfigError(f"field {_join(path, 'kind')} must be 'static' or 'linear'")
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"field {path}: {e}") from e
-    _done(d, path)
-    return out
-
-
-def _parse_obstacles(v, path: str) -> tuple[Obstacle, ...]:
-    if v is None:
-        return ()
-    if not isinstance(v, list):
-        raise ConfigError(f"field {path} must be a list")
-    out = []
-    for i, item in enumerate(v):
-        d = _as_dict(item, f"{path}[{i}]")
-        try:
-            out.append(
-                Obstacle(
-                    min_corner=_as_vec3(_take(d, "min", f"{path}[{i}]"), f"{path}[{i}].min"),
-                    max_corner=_as_vec3(_take(d, "max", f"{path}[{i}]"), f"{path}[{i}].max"),
-                )
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"field {path}[{i}]: {e}") from e
-        _done(d, f"{path}[{i}]")
-    return tuple(out)
-
-
-def _parse_waveform(v, path: str, scheme: str | None = None) -> WaveformConfig:
-    d = _as_dict(v, path)
-    if scheme is None:
-        scheme = _take(d, "scheme", path)
-    elif "scheme" in d:
-        raise ConfigError(f"field {_join(path, 'scheme')} is set by the comparison grid")
-    try:
-        cfg = WaveformConfig(
-            scheme=scheme,
-            n_subcarriers=_as_int(_take(d, "n_subcarriers", path, False, 256), _join(path, "n_subcarriers")),
-            n_symbols=_as_int(_take(d, "n_symbols", path, False, 32), _join(path, "n_symbols")),
-            subcarrier_spacing=_as_number(
-                _take(d, "subcarrier_spacing_hz", path, False, 30e3),
-                _join(path, "subcarrier_spacing_hz"),
-            ),
-            carrier_freq=_as_number(
-                _take(d, "carrier_freq_hz", path, False, 28e9), _join(path, "carrier_freq_hz")
-            ),
-            cp_fraction=_as_number(
-                _take(d, "cp_fraction", path, False, 1.0 / 16.0), _join(path, "cp_fraction")
-            ),
-            oversample=_as_int(_take(d, "oversample", path, False, 1), _join(path, "oversample")),
-            threshold_db=_as_number(
-                _take(d, "threshold_db", path, False, 6.0), _join(path, "threshold_db")
-            ),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"field {path}: {e}") from e
-    _done(d, path)
-    return cfg
-
-
-def _parse_ensemble(v, path: str) -> NlosEnsemble:
-    d = _as_dict(v, path)
-    kwargs = {}
-    fields = {
-        "n_paths_min": _as_int,
-        "n_paths_max": _as_int,
-        "excess_mean_m": _as_number,
-        "power_decay_m": _as_number,
-        "speed_mps": _as_number,
-        "snr_db": _as_number,
-        "d_min_m": _as_number,
-        "d_max_m": _as_number,
-    }
-    for name, conv in fields.items():
-        if name in d:
-            kwargs[name] = conv(d.pop(name), _join(path, name))
-    _done(d, path)
-    try:
-        return NlosEnsemble(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"field {path}: {e}") from e
-
-
-def _parse_noise(v, path: str):
-    d = _as_dict(v, path)
-    kind = _take(d, "kind", path)
-    if kind == "statistical":
-        try:
-            model = NoiseModel(
-                sigma0=_as_number(_take(d, "sigma0", path, False, 1.0), _join(path, "sigma0")),
-                eta=_as_number(_take(d, "eta", path, False, 0.01), _join(path, "eta")),
-                nlos_bias_mean=_as_number(
-                    _take(d, "nlos_bias_mean", path, False, 5.0), _join(path, "nlos_bias_mean")
-                ),
-                seed=0,
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"field {path}: {e}") from e
-        _done(d, path)
-        return model
-    if kind == "waveform":
-        wf = _parse_waveform(_take(d, "waveform", path), _join(path, "waveform"))
-        ens = _parse_ensemble(_take(d, "ensemble", path, False, {}), _join(path, "ensemble"))
-        _done(d, path)
-        return WaveformRanging(waveform=wf, ensemble=ens)
-    raise ConfigError(f"field {_join(path, 'kind')} must be 'statistical' or 'waveform'")
-
-
-def _parse_relocation(v, path: str) -> RelocationPolicy | None:
-    if v is None:
-        return None
-    d = _as_dict(v, path)
-    try:
-        policy = RelocationPolicy(
-            min_radius=_as_number(_take(d, "min_radius", path), _join(path, "min_radius")),
-            shrink_factor=_as_number(_take(d, "shrink_factor", path), _join(path, "shrink_factor")),
-            max_center_step=_as_number(
-                _take(d, "max_center_step", path), _join(path, "max_center_step")
-            ),
-            altitude=_as_number(_take(d, "altitude", path), _join(path, "altitude")),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"field {path}: {e}") from e
-    _done(d, path)
-    return policy
-
-
-def _parse_bounds(v, path: str):
-    if not isinstance(v, list) or len(v) != 3:
-        raise ConfigError(f"field {path} must be three [lo, hi] pairs")
-    out = []
-    for i, pair in enumerate(v):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"field {path}[{i}] must be a [lo, hi] pair")
-        out.append(
-            (
-                _as_number(pair[0], f"{path}[{i}][0]"),
-                _as_number(pair[1], f"{path}[{i}][1]"),
-            )
-        )
-    return tuple(out)
-
-
-def _parse_solver(v, path: str, bounds) -> SolveOptions:
-    d = _as_dict(v, path) if v is not None else {}
-    kwargs = {}
-    if "max_iter" in d:
-        kwargs["max_iter"] = _as_int(d.pop("max_iter"), _join(path, "max_iter"))
-    for name in ("grad_tol", "step_tol", "damping0"):
-        if name in d:
-            kwargs[name] = _as_number(d.pop(name), _join(path, name))
-    if "multistart_grid" in d:
-        g = d.pop("multistart_grid")
-        if not isinstance(g, list) or len(g) != 3:
-            raise ConfigError(f"field {_join(path, 'multistart_grid')} must be three integers")
-        kwargs["multistart_grid"] = tuple(
-            _as_int(x, f"{_join(path, 'multistart_grid')}[{i}]") for i, x in enumerate(g)
-        )
-    _done(d, path)
-    if bounds is not None:
-        kwargs["bounds"] = bounds
-    try:
-        return SolveOptions(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"field {path}: {e}") from e
-
-
-def _parse_histogram(v, path: str) -> HistogramSpec:
-    d = _as_dict(v, path) if v is not None else {}
-    kwargs = {}
-    for name in ("bin_width_m", "max_m"):
-        if name in d:
-            kwargs[name] = _as_number(d.pop(name), _join(path, name))
-    _done(d, path)
-    try:
-        return HistogramSpec(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"field {path}: {e}") from e
+    return d
 
 
 def parse_scenario_config(raw: dict) -> ScenarioConfig:
-    d = dict(raw)
-    _check_version(d)
-    name = _take(d, "name", "", False, "scenario")
-    if not isinstance(name, str):
-        raise ConfigError("field name must be a string")
-    trajectory = _parse_trajectory(_take(d, "trajectory", ""), "trajectory")
-    dt = _as_number(_take(d, "dt", ""), "dt")
-    if dt <= 0:
-        raise ConfigError("field dt must be > 0")
-    samples = _take(d, "samples_per_revolution", "", False)
-    if samples is not None:
-        samples = _as_int(samples, "samples_per_revolution")
-        if samples < 3:
-            raise ConfigError("field samples_per_revolution must be >= 3")
-    if isinstance(trajectory, LinearTrajectory) and samples is None:
-        raise ConfigError("field samples_per_revolution is required for linear trajectories")
-    target = _parse_target(_take(d, "target", ""), "target")
-    obstacles = _parse_obstacles(_take(d, "obstacles", "", False), "obstacles")
-    noise = _parse_noise(_take(d, "noise", ""), "noise")
-    n_revolutions = _as_int(_take(d, "n_revolutions", "", False, 1), "n_revolutions")
-    if n_revolutions < 1:
-        raise ConfigError("field n_revolutions must be >= 1")
-    relocation = _parse_relocation(_take(d, "relocation", "", False), "relocation")
-    if relocation is not None and not isinstance(trajectory, CircularTrajectory):
-        raise ConfigError("field relocation requires a circular trajectory")
-    runs = _as_int(_take(d, "runs", "", False, 1), "runs")
-    if runs < 1:
-        raise ConfigError("field runs must be >= 1")
-    base_seed = _as_int(_take(d, "base_seed", "", False, 0), "base_seed")
-    bounds = d.pop("bounds", None)
-    bounds = _parse_bounds(bounds, "bounds") if bounds is not None else None
-    solver = _parse_solver(d.pop("solver", None), "solver", bounds)
-    histogram = _parse_histogram(d.pop("histogram", None), "histogram")
-    _done(d, "")
-    return ScenarioConfig(
-        name=name,
-        trajectory=trajectory,
-        dt=dt,
-        target=target,
-        obstacles=obstacles,
-        noise=noise,
-        n_revolutions=n_revolutions,
-        relocation=relocation,
-        runs=runs,
-        base_seed=base_seed,
-        solver=solver,
-        histogram=histogram,
-        samples_per_revolution=samples,
+    d = _top_level(
+        raw, ("obstacles", "relocation", "samples_per_revolution", "bounds", "solver", "histogram")
     )
+    bounds = {"bounds": _as_bounds(d.pop("bounds"), "bounds")} if "bounds" in d else {}
+    solver = _build(SolveOptions, d.pop("solver", {}), "solver", fixed=bounds, keys=_SOLVER_KEYS)
+    cfg = _build(ScenarioConfig, d, "", fixed={"solver": solver})
+    if cfg.dt <= 0:
+        raise ConfigError("field dt must be > 0")
+    samples = cfg.samples_per_revolution
+    if samples is not None and samples < 3:
+        raise ConfigError("field samples_per_revolution must be >= 3")
+    if samples is None and isinstance(cfg.trajectory, LinearTrajectory):
+        raise ConfigError("field samples_per_revolution is required for linear trajectories")
+    if cfg.relocation is not None and not isinstance(cfg.trajectory, CircularTrajectory):
+        raise ConfigError("field relocation requires a circular trajectory")
+    for key in ("n_revolutions", "runs"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"field {key} must be >= 1")
+    # report.csv writes the name unquoted.
+    if any(c in cfg.name for c in ',"\r\n'):
+        raise ConfigError("field name must not contain a comma, a double quote, CR or LF")
+    return cfg
 
 
 @dataclass(frozen=True)
 class CompareConfig:
-    name: str
-    spacings_hz: tuple[float, ...]
-    waveform: dict  # base kwargs without scheme/spacing
-    ensemble: NlosEnsemble
-    trials: int
-    base_seed: int
-    histogram: HistogramSpec
+    waveform: dict  # WaveformConfig kwargs without the grid's scheme and spacing
+    name: str = "comparison"
+    spacings_hz: tuple[float, ...] = (30e3, 120e3)
+    ensemble: NlosEnsemble = NlosEnsemble()
+    trials: int = 5000
+    base_seed: int = 0
+    histogram: HistogramSpec = HistogramSpec()
 
 
 def parse_compare_config(raw: dict) -> CompareConfig:
-    d = dict(raw)
-    _check_version(d)
-    name = _take(d, "name", "", False, "comparison")
-    spacings = _take(d, "spacings_hz", "", False, [30e3, 120e3])
-    if not isinstance(spacings, list) or not spacings:
-        raise ConfigError("field spacings_hz must be a nonempty list")
-    spacings = tuple(_as_number(s, f"spacings_hz[{i}]") for i, s in enumerate(spacings))
-    wf_raw = _as_dict(_take(d, "waveform", "", False, {}), "waveform")
-    if "subcarrier_spacing_hz" in wf_raw:
-        raise ConfigError("field waveform.subcarrier_spacing_hz is set by spacings_hz")
-    # Validate via a throwaway config; spacing/scheme are grid dimensions.
-    probe = _parse_waveform(dict(wf_raw), "waveform", scheme="ofdm")
-    base = {
-        "n_subcarriers": probe.n_subcarriers,
-        "n_symbols": probe.n_symbols,
-        "carrier_freq": probe.carrier_freq,
-        "cp_fraction": probe.cp_fraction,
-        "oversample": probe.oversample,
-        "threshold_db": probe.threshold_db,
-    }
-    ensemble = _parse_ensemble(_take(d, "ensemble", "", False, {}), "ensemble")
-    trials = _as_int(_take(d, "trials", "", False, 5000), "trials")
-    if trials < 1:
-        raise ConfigError("field trials must be >= 1")
-    base_seed = _as_int(_take(d, "base_seed", "", False, 0), "base_seed")
-    histogram = _parse_histogram(d.pop("histogram", None), "histogram")
-    _done(d, "")
-    return CompareConfig(
-        name=name,
-        spacings_hz=spacings,
-        waveform=base,
-        ensemble=ensemble,
-        trials=trials,
-        base_seed=base_seed,
-        histogram=histogram,
+    d = _top_level(raw, ("histogram",))
+    # A throwaway OFDM config validates the numerology; every cell of the
+    # grid sets its own scheme and spacing.
+    grid = ("scheme", "subcarrier_spacing")
+    keys = [f.name for f in dataclasses.fields(WaveformConfig) if f.name not in grid]
+    probe = _build(
+        WaveformConfig,
+        d.pop("waveform", {}),
+        "waveform",
+        rename=_WAVEFORM_KEYS,
+        fixed={"scheme": "ofdm"},
+        keys=keys,
     )
+    cfg = _build(CompareConfig, d, "", fixed={"waveform": {k: getattr(probe, k) for k in keys}})
+    if cfg.trials < 1:
+        raise ConfigError("field trials must be >= 1")
+    return cfg
+
+
+@dataclass(frozen=True)
+class _Sigma:
+    """Range std ``sigma0 + eta * d``."""
+
+    sigma0: float = 1.0
+    eta: float = 0.0
+
+
+@dataclass(frozen=True)
+class _CrlbConfig:
+    anchors: tuple[Position3, ...]
+    target: Position3
+    sigma: _Sigma = _Sigma()
 
 
 def parse_crlb_config(raw: dict):
-    d = dict(raw)
-    _check_version(d)
-    anchors_raw = _take(d, "anchors", "")
-    if not isinstance(anchors_raw, list) or len(anchors_raw) < 3:
-        raise ConfigError("field anchors must list at least 3 positions")
-    anchors = [_as_vec3(a, f"anchors[{i}]") for i, a in enumerate(anchors_raw)]
-    target = _as_vec3(_take(d, "target", ""), "target")
-    sig = _as_dict(_take(d, "sigma", "", False, {}), "sigma")
-    sigma0 = _as_number(sig.pop("sigma0", 1.0), "sigma.sigma0")
-    eta = _as_number(sig.pop("eta", 0.0), "sigma.eta")
-    _done(sig, "sigma")
-    _done(d, "")
+    cfg = _build(_CrlbConfig, _top_level(raw), "")
+    sigma0, eta = cfg.sigma.sigma0, cfg.sigma.eta
     # Same domain as NoiseModel: both terms nonnegative, the std positive.
     if sigma0 < 0:
         raise ConfigError("field sigma.sigma0 must be >= 0")
@@ -614,7 +433,7 @@ def parse_crlb_config(raw: dict):
         raise ConfigError("field sigma.eta must be >= 0")
     if sigma0 == 0 and eta == 0:
         raise ConfigError("field sigma must give a positive std")
-    return anchors, target, (lambda dist: sigma0 + eta * dist)
+    return list(cfg.anchors), cfg.target, (lambda dist: sigma0 + eta * dist)
 
 
 # ---------------------------------------------------------------------------

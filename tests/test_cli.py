@@ -135,6 +135,106 @@ def test_crlb_negative_sigma_term_exits_2(tmp_path, capsys, sigma, field):
     assert field in capsys.readouterr().err
 
 
+_DROP = object()
+
+
+def _malformed_bases():
+    """Valid configs with every section a malformed case edits."""
+    scenario = {
+        "version": 1,
+        "name": "malformed",
+        "trajectory": {
+            "kind": "circular",
+            "center": [0.0, 0.0, 100.0],
+            "radius": 50.0,
+            "angular_speed": 2 * math.pi / 60,
+            "phase0": 0.0,
+        },
+        "dt": 1.0,
+        "target": {"kind": "static", "position": [20.0, -10.0, 0.0]},
+        "obstacles": [{"min": [0.0, -10.0, 0.0], "max": [10.0, 10.0, 70.0]}],
+        "noise": {"kind": "statistical", "sigma0": 1.0, "eta": 0.01, "nlos_bias_mean": 5.0},
+        "relocation": {"min_radius": 15.0, "shrink_factor": 0.5, "max_center_step": 400.0, "altitude": 40.0},
+        "runs": 1,
+        "bounds": [[-150.0, 150.0], [-150.0, 150.0], [0.0, 10.0]],
+        "solver": {"max_iter": 200, "multistart_grid": [5, 5, 1]},
+        "histogram": {"bin_width_m": 0.5, "max_m": 100.0},
+    }
+    waveform_scenario = dict(
+        scenario,
+        noise={
+            "kind": "waveform",
+            "waveform": {"scheme": "otfs", "n_subcarriers": 64, "n_symbols": 8},
+            "ensemble": {"snr_db": 20.0, "n_paths_min": 1, "n_paths_max": 2},
+        },
+    )
+    crlb_cfg = {
+        "version": 1,
+        "anchors": [[10.0, 0.0, 10.0], [0.0, 10.0, 10.0], [-10.0, 0.0, 10.0]],
+        "target": [0.0, 0.0, 0.0],
+        "sigma": {"sigma0": 1.0, "eta": 0.01},
+    }
+    return {"simulate": scenario, "waveform": waveform_scenario, "crlb": crlb_cfg}
+
+
+# (base, JSON path to edit, new value or _DROP, field path the error must name)
+_MALFORMED = {
+    "obstacle-unknown": ("simulate", ("obstacles", 0, "mid"), [1.0, 2.0, 3.0], "obstacles[0].mid"),
+    "obstacle-missing": ("simulate", ("obstacles", 0, "max"), _DROP, "obstacles[0].max"),
+    "obstacle-type": ("simulate", ("obstacles", 0, "min"), "low", "obstacles[0].min"),
+    "solver-unknown": ("simulate", ("solver", "max_iters"), 10, "solver.max_iters"),
+    "solver-type": ("simulate", ("solver", "max_iter"), 1.5, "solver.max_iter"),
+    "solver-bounds": ("simulate", ("solver", "bounds"), [[0.0, 1.0]] * 3, "solver.bounds"),
+    "noise-seed": ("simulate", ("noise", "seed"), 3, "noise.seed"),
+    "solver-ambiguity": ("simulate", ("solver", "ambiguity_rel_tol"), 0.1, "solver.ambiguity_rel_tol"),
+    "histogram-unknown": ("simulate", ("histogram", "bins"), 10, "histogram.bins"),
+    "histogram-type": ("simulate", ("histogram", "max_m"), "100", "histogram.max_m"),
+    "relocation-unknown": ("simulate", ("relocation", "radius"), 1.0, "relocation.radius"),
+    "relocation-missing": ("simulate", ("relocation", "altitude"), _DROP, "relocation.altitude"),
+    "relocation-type": ("simulate", ("relocation", "shrink_factor"), [0.5], "relocation.shrink_factor"),
+    "waveform-unknown": ("waveform", ("noise", "waveform", "n_subcarrier"), 64, "noise.waveform.n_subcarrier"),
+    "waveform-missing": ("waveform", ("noise", "waveform", "scheme"), _DROP, "noise.waveform.scheme"),
+    "waveform-type": ("waveform", ("noise", "waveform", "n_symbols"), 8.0, "noise.waveform.n_symbols"),
+    "ensemble-unknown": ("waveform", ("noise", "ensemble", "snr"), 20.0, "noise.ensemble.snr"),
+    "ensemble-type": ("waveform", ("noise", "ensemble", "n_paths_min"), "1", "noise.ensemble.n_paths_min"),
+    "sigma-unknown": ("crlb", ("sigma", "sigma1"), 1.0, "sigma.sigma1"),
+    "sigma-type": ("crlb", ("sigma", "eta"), "0.01", "sigma.eta"),
+    "crlb-missing": ("crlb", ("target",), _DROP, "target"),
+    "nan-dt": ("simulate", ("dt",), math.nan, "dt"),
+    "nan-bounds": ("simulate", ("bounds", 0, 1), math.nan, "bounds[0][1]"),
+    "nan-phase0": ("simulate", ("trajectory", "phase0"), math.nan, "trajectory.phase0"),
+    "inf-histogram": ("simulate", ("histogram", "max_m"), math.inf, "histogram.max_m"),
+    "nan-sigma0": ("simulate", ("noise", "sigma0"), math.nan, "noise.sigma0"),
+    "inf-eta": ("simulate", ("noise", "eta"), math.inf, "noise.eta"),
+    "inf-snr": ("waveform", ("noise", "ensemble", "snr_db"), math.inf, "noise.ensemble.snr_db"),
+    "nan-crlb-sigma0": ("crlb", ("sigma", "sigma0"), math.nan, "sigma.sigma0"),
+    "version-true": ("simulate", ("version",), True, "version"),
+    "version-float": ("crlb", ("version",), 1.0, "version"),
+    "name-comma": ("simulate", ("name",), "a,b", "name"),
+    "kind-unhashable": ("simulate", ("target", "kind"), ["x"], "target.kind"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, case):
+    base, path, value, field = _MALFORMED[case]
+    cfg = _malformed_bases()[base]
+    *parents, last = path
+    section = cfg
+    for key in parents:
+        section = section[key]
+    if value is _DROP:
+        del section[last]
+    else:
+        section[last] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
+    command = "crlb" if base == "crlb" else "simulate"
+    assert main(["--out-dir", str(tmp_path / "out"), "--quiet", command, str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
 def test_export_dataset(tmp_path, scenario_file):
     out = tmp_path / "out"
     code = main(["--out-dir", str(out), "--quiet", "export-dataset", str(scenario_file)])

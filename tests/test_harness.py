@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -18,7 +19,7 @@ from pseudolat.harness import (
     write_report_csv,
     write_summary_json,
 )
-from pseudolat.waveform import C_LIGHT, Path, PathSet
+from pseudolat.waveform import C_LIGHT, Path, PathSet, WaveformConfig
 
 
 def base_scenario(**overrides):
@@ -117,6 +118,9 @@ class TestParsing:
         cfg = parse_compare_config({"version": 1})
         assert cfg.spacings_hz == (30e3, 120e3)
         assert cfg.trials == 5000
+        defaults = dataclasses.asdict(WaveformConfig(scheme="ofdm"))
+        del defaults["scheme"], defaults["subcarrier_spacing"]
+        assert cfg.waveform == defaults
 
     def test_compare_rejects_scheme_field(self):
         with pytest.raises(ConfigError, match="scheme"):
