@@ -223,10 +223,16 @@ def _join(path: str, key: str) -> str:
 
 
 def _as_number(v, path: str) -> float:
-    # json accepts NaN and Infinity, and no config field has a use for them.
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"field {path} must be a finite number")
-    return float(v)
+    # json accepts NaN, Infinity and integers beyond float range, and no
+    # config field has a use for them.
+    if not isinstance(v, bool) and isinstance(v, (int, float)):
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"field {path} must be a finite number")
 
 
 def _as_int(v, path: str) -> int:
@@ -405,6 +411,9 @@ def parse_compare_config(raw: dict) -> CompareConfig:
     cfg = _build(CompareConfig, d, "", fixed={"waveform": {k: getattr(probe, k) for k in keys}})
     if cfg.trials < 1:
         raise ConfigError("field trials must be >= 1")
+    for i, df in enumerate(cfg.spacings_hz):
+        if df <= 0:
+            raise ConfigError(f"field spacings_hz[{i}] must be > 0")
     return cfg
 
 
@@ -513,7 +522,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """
     start = time.perf_counter()
     states = [_RunState(cfg.trajectory) for _ in range(cfg.runs)]
-    per_call = problems_per_call(len(cfg.solver.start_points()))
+    # Closed-form seeding runs at most two starts per problem.
+    per_call = problems_per_call(2)
     blocks = [range(b, min(b + per_call, cfg.runs)) for b in range(0, cfg.runs, per_call)]
     for rev in range(cfg.n_revolutions):
 

@@ -3,9 +3,12 @@
 Classical multilateration fixes the target from several static anchors;
 the single-anchor variant treats every (anchor position, range) sample of
 a moving anchor as its own anchor and minimizes the same sum of squared
-distance errors. Both run a box-clamped damped Gauss-Newton from a grid of
-start points, and residual-equivalent distinct minima are reported instead
-of silently discarded, which is how the straight-path phantom surfaces.
+distance errors. Both run a box-clamped damped Gauss-Newton from one or two
+closed-form starts per problem (the squared-range linearization of Beck,
+Stoica & Li, IEEE TSP 56(5), 2008), falling back to a grid of start points
+where those cannot seed or converge a problem. Residual-equivalent distinct
+minima are reported instead of silently discarded, which is how the
+straight-path phantom surfaces.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ Bounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
 DEFAULT_BOUNDS: Bounds = ((-200.0, 200.0), (-200.0, 200.0), (0.0, 10.0))
 
+# Singular values below this fraction of the largest count as a direction
+# the squared-range system has lost; a quadratic's leading coefficient
+# below it counts as vanished.
+_RANK_TOL = 1e-9
+# Scale-aware convergence: a masked gradient norm below this fraction of
+# 2 sqrt(K f) (see ``_lm``).
+_REL_GRAD_TOL = 1e-6
+
 
 class GeometryError(ValueError):
     """Anchor geometry cannot support the requested solve."""
@@ -59,9 +70,11 @@ class SolveOptions:
 
     ``bounds`` is the axis-aligned search region; a degenerate axis
     (lo == hi) freezes that coordinate. ``multistart_grid`` gives the
-    number of start points per axis. Minima whose residuals agree within
-    ``ambiguity_rel_tol`` (plus a small absolute floor) and that sit more
-    than ``ambiguity_min_sep`` apart are treated as ambiguous solutions.
+    number of start points per axis of the fallback grid, which runs only
+    for problems the closed-form starts cannot seed or converge. Minima
+    whose residuals agree within ``ambiguity_rel_tol`` (plus a small
+    absolute floor) and that sit more than ``ambiguity_min_sep`` apart are
+    treated as ambiguous solutions.
     """
 
     max_iter: int = 200
@@ -160,23 +173,117 @@ def _cluster_minima(points: np.ndarray, residuals: np.ndarray, conv: np.ndarray,
     return reps
 
 
+def _box(opts: SolveOptions) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([b[0] for b in opts.bounds]), np.array([b[1] for b in opts.bounds])
+
+
+def _closed_form_starts(anchors: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Squared-range (SR-LS) starts of each problem: anchors (B, K, 3), d (B, K).
+
+    With the anchors centred on their mean c and scaled by s, the range
+    equations ||q - a_k||^2 = (d_k / s)^2 of q = (p - c) / s are linear in
+    the free coordinates of q and in w = ||q||^2:
+
+        -2 a_k . q_free + w = (d_k / s)^2 - ||a_k||^2 + 2 a_k . q_pinned.
+
+    Full rank gives one start, the least-squares solution. Rank lost in one
+    direction (a level circle loses z, a straight path with z pinned its
+    cross-track axis) leaves a line of solutions; putting it into
+    w = ||q||^2 gives a quadratic whose two roots are the starts (its vertex,
+    once, when it has no real root). Returns starts (B, 2, 3) clipped to the
+    box and the number of starts per problem: 1, 2, or 0 where the closed
+    form cannot seed the problem (rank lost in more than one direction, or
+    a quadratic with a vanishing leading coefficient).
+    """
+    B, K = d.shape
+    free = hi > lo
+    c = anchors.mean(axis=1)  # (B, 3)
+    a = anchors - c[:, None, :]
+    s = np.abs(a).max(axis=(1, 2))
+    s = np.where(s > 0, s, 1.0)
+    a = a / s[:, None, None]
+    q_pin = np.where(free, 0.0, (lo - c) / s[:, None])  # (B, 3)
+    A = np.concatenate([-2.0 * a[:, :, free], np.ones((B, K, 1))], axis=2)
+    rhs = (d / s[:, None]) ** 2 - np.sum(a * a, axis=2) + 2.0 * np.einsum("bkj,bj->bk", a, q_pin)
+    n = A.shape[2]
+    if K < n:  # zero rows let the SVD return the whole null space
+        A = np.concatenate([A, np.zeros((B, n - K, n))], axis=1)
+        rhs = np.concatenate([rhs, np.zeros((B, n - K))], axis=1)
+    U, S, Vt = np.linalg.svd(A, full_matrices=False)
+    kept = S > _RANK_TOL * S[:, :1]
+    lost = n - kept.sum(axis=1)
+    coef = np.einsum("bkn,bk->bn", U, rhs) / np.where(kept, S, np.inf)
+    x = np.einsum("bnm,bn->bm", Vt, coef)  # least-squares solution (B, n)
+    null = Vt[:, -1, :]  # the lost direction where one is lost
+    xq, xw, nq, nw = x[:, :-1], x[:, -1], null[:, :-1], null[:, -1]
+    qa = np.sum(nq * nq, axis=1)
+    qb = 2.0 * np.sum(xq * nq, axis=1) - nw
+    qc = np.sum(xq * xq, axis=1) + np.sum(q_pin * q_pin, axis=1) - xw
+    disc = qb * qb - 4.0 * qa * qc
+    quad = (lost == 1) & (qa > _RANK_TOL)
+    root = np.sqrt(np.maximum(disc, 0.0)) / np.where(quad, 2.0 * qa, 1.0)
+    vertex = -qb / np.where(quad, 2.0 * qa, 1.0)
+    t = np.where(quad[:, None], vertex[:, None] + np.stack([-root, root], axis=1), 0.0)
+    q = np.repeat(q_pin[:, None, :], 2, axis=1)
+    q[:, :, free] = xq[:, None, :] + t[:, :, None] * nq[:, None, :]
+    starts = np.clip(c[:, None, :] + s[:, None, None] * q, lo, hi)
+    # A full-rank system, a quadratic without real roots and two roots
+    # clipped onto one point all leave a single start, in both rows.
+    two = np.any(starts[:, 0] != starts[:, 1], axis=1)
+    counts = np.where((lost == 0) | quad, np.where(two, 2, 1), 0)
+    return starts, counts
+
+
+def _lm(anchors: np.ndarray, d: np.ndarray, starts: np.ndarray, lo, hi, opts: SolveOptions):
+    """LM endpoints and residuals of every start, and which converged.
+
+    A start converged when its masked gradient norm g meets ``grad_tol`` or
+    is below ``_REL_GRAD_TOL`` of 2 sqrt(K f), which bounds ||2 J^T r||
+    because every row of J is a unit vector: noisy residuals put an absolute
+    gradient floor out of reach even at the optimum.
+    """
+    points, f, g, _, _ = _kernels.lm_solve_batch(
+        anchors, d, starts, lo, hi, opts.max_iter, opts.grad_tol, opts.step_tol, opts.damping0
+    )
+    conv = (g <= opts.grad_tol) | (g <= _REL_GRAD_TOL * 2.0 * np.sqrt(anchors.shape[1] * f))
+    return points, f, conv
+
+
 def _solve_clusters(
     anchors: np.ndarray,
     d: np.ndarray,
     opts: SolveOptions,
     extra_starts: Sequence[np.ndarray] = (),
 ):
-    """Clustered minima of each problem: anchors (B, K, 3), d (B, K)."""
-    lo = np.array([b[0] for b in opts.bounds])
-    hi = np.array([b[1] for b in opts.bounds])
-    starts = opts.start_points(extra_starts)
-    points, residuals, _, conv, _ = _kernels.lm_solve_batch(
-        anchors, d, starts, lo, hi, opts.max_iter, opts.grad_tol, opts.step_tol, opts.damping0
-    )
-    return [
-        _cluster_minima(points[b], residuals[b], conv[b], opts.ambiguity_min_sep)
-        for b in range(points.shape[0])
-    ]
+    """Clustered minima of each problem: anchors (B, K, 3), d (B, K).
+
+    LM runs from the closed-form starts (after any ``extra_starts``); a
+    problem the closed form cannot seed, or none of whose closed-form starts
+    converged, is solved again from the ``multistart_grid`` grid instead.
+    """
+    lo, hi = _box(opts)
+    extra = np.asarray(extra_starts, dtype=np.float64).reshape(-1, 3)
+    starts, counts = _closed_form_starts(anchors, d, lo, hi)
+    ends: list = [None] * anchors.shape[0]
+    fallback = counts == 0
+
+    def solve(idx, starts_idx):
+        points, f, conv = _lm(anchors[idx], d[idx], starts_idx, lo, hi, opts)
+        for i, b in enumerate(idx):
+            ends[b] = (points[i], f[i], conv[i])
+        return conv
+
+    # Each start count is one kernel call; an empty group makes none.
+    for n in (1, 2):
+        idx = np.flatnonzero(counts == n)
+        if idx.size:
+            own = np.broadcast_to(extra, (idx.size, *extra.shape))
+            conv = solve(idx, np.concatenate([own, starts[idx, :n]], axis=1))
+            fallback[idx] = ~conv[:, len(extra) :].any(axis=1)
+    idx = np.flatnonzero(fallback)
+    if idx.size:
+        solve(idx, opts.start_points(extra_starts))
+    return [_cluster_minima(p, f, conv, opts.ambiguity_min_sep) for p, f, conv in ends]
 
 
 def _solution_from_clusters(clusters, opts: SolveOptions) -> Solution:

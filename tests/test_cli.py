@@ -174,7 +174,13 @@ def _malformed_bases():
         "target": [0.0, 0.0, 0.0],
         "sigma": {"sigma0": 1.0, "eta": 0.01},
     }
-    return {"simulate": scenario, "waveform": waveform_scenario, "crlb": crlb_cfg}
+    compare = {
+        "version": 1,
+        "spacings_hz": [30000.0, 120000.0],
+        "waveform": {"n_subcarriers": 64, "n_symbols": 8},
+        "trials": 1,
+    }
+    return {"simulate": scenario, "waveform": waveform_scenario, "crlb": crlb_cfg, "compare": compare}
 
 
 # (base, JSON path to edit, new value or _DROP, field path the error must name)
@@ -212,7 +218,12 @@ _MALFORMED = {
     "version-float": ("crlb", ("version",), 1.0, "version"),
     "name-comma": ("simulate", ("name",), "a,b", "name"),
     "kind-unhashable": ("simulate", ("target", "kind"), ["x"], "target.kind"),
+    "huge-int-dt": ("simulate", ("dt",), 10**400, "dt"),
+    "spacing-negative": ("compare", ("spacings_hz", 1), -1.0, "spacings_hz[1]"),
+    "spacing-zero": ("compare", ("spacings_hz", 0), 0.0, "spacings_hz[0]"),
 }
+# CLI subcommand per base config
+_COMMANDS = {"simulate": "simulate", "waveform": "simulate", "crlb": "crlb", "compare": "compare-waveforms"}
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -229,8 +240,7 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, case):
         section[last] = value
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
-    command = "crlb" if base == "crlb" else "simulate"
-    assert main(["--out-dir", str(tmp_path / "out"), "--quiet", command, str(cfg_path)]) == 2
+    assert main(["--out-dir", str(tmp_path / "out"), "--quiet", _COMMANDS[base], str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
 

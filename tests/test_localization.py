@@ -11,14 +11,19 @@ from pseudolat.geometry import (
     linear_mirror,
     sample_trajectory,
 )
+from pseudolat import _kernels
+from pseudolat.harness import parse_scenario_config, run_scenario
 from pseudolat.localization import (
     AnchorRange,
     GeometryError,
     SolveOptions,
+    _box,
+    _closed_form_starts,
     crlb,
     multilaterate,
     pseudo_multilaterate_moving,
     pseudo_multilaterate_static,
+    pseudo_multilaterate_static_batch,
     residual_jacobian,
     residual_sum,
 )
@@ -324,3 +329,154 @@ class TestPseudoMoving:
             pseudo_multilaterate_moving(meas, window=20, stride=0, opts=BAND)
         with pytest.raises(ValueError):
             pseudo_multilaterate_moving(meas, window=100, stride=1, opts=BAND)
+
+
+def _arrays(meas):
+    anchors = np.array([m.anchor.as_array() for m in meas])
+    return anchors, np.array([m.d_meas for m in meas])
+
+
+def _record_kernel_calls(monkeypatch):
+    """Record (problems, starts) of every kernel call and refuse empty ones."""
+    calls = []
+    solve = _kernels.lm_solve_batch
+
+    def recording(anchors, d, starts, *args):
+        shape = np.shape(anchors)
+        problems = 1 if len(shape) == 2 else shape[0]
+        assert problems > 0, "kernel called with zero problems"
+        calls.append((problems, np.shape(starts)[-2]))
+        return solve(anchors, d, starts, *args)
+
+    monkeypatch.setattr(_kernels, "lm_solve_batch", recording)
+    return calls
+
+
+def _mixed_batch(seed=5, n=24):
+    """Noisy circles at one altitude (2 starts), circles whose samples vary
+    in altitude (full rank, 1 start) and collinear paths (grid fallback)."""
+    rng = np.random.default_rng(seed)
+    k = 60
+    phase = np.arange(k) * 2 * math.pi / k
+    anchors = np.empty((n, k, 3))
+    for b in range(n):
+        radius, (cx, cy) = rng.uniform(20, 80), rng.uniform(-50, 50, 2)
+        anchors[b, :, 0] = cx + radius * np.cos(phase)
+        anchors[b, :, 1] = cy + radius * np.sin(phase)
+        anchors[b, :, 2] = rng.uniform(20, 100)
+        if b % 3 == 1:
+            anchors[b, :, 2] += rng.uniform(-5, 5, k)
+        elif b % 3 == 2:
+            anchors[b, :, 1] = cy
+    targets = np.column_stack([rng.uniform(-100, 100, n), rng.uniform(-100, 100, n), np.zeros(n)])
+    d = np.linalg.norm(anchors - targets[:, None, :], axis=2) + rng.normal(0, 1.0, (n, k))
+    return anchors, np.maximum(d, 0.0)
+
+
+class TestClosedFormStarts:
+    TALL = SolveOptions(bounds=((-300.0, 300.0), (-300.0, 300.0), (-300.0, 300.0)))
+
+    def test_level_circle_yields_both_z_roots(self):
+        # A circle at altitude 100 loses z; the target at z = 0 and its
+        # mirror at z = 200 are the two roots.
+        target = Position3(20, -10, 0)
+        anchors, d = _arrays(circle_measurements(target))
+        starts, counts = _closed_form_starts(anchors[None], d[None], *_box(self.TALL))
+        assert counts[0] == 2
+        found = starts[0][np.argsort(starts[0][:, 2])]
+        assert np.allclose(found, [[20, -10, 0], [20, -10, 200]], atol=1e-6)
+        # In the default band both roots are clipped to it.
+        starts, counts = _closed_form_starts(anchors[None], d[None], *_box(BAND))
+        assert counts[0] == 2
+        assert np.allclose(np.sort(starts[0][:, 2]), [0.0, 10.0], atol=1e-6)
+
+    def test_straight_path_yields_target_and_mirror(self):
+        target = Position3(20, -10, 0)
+        spec = LinearTrajectory(start=Position3(0, 0, 100), velocity=Position3(10, 3, 0))
+        anchors, d = _arrays(line_measurements(target, spec))
+        starts, counts = _closed_form_starts(anchors[None], d[None], *_box(PLANE))
+        assert counts[0] == 2
+        mirror = linear_mirror(spec, target)
+        for want in (target, mirror):
+            assert np.min(np.linalg.norm(starts[0] - want.as_array(), axis=1)) < 1e-6
+
+    def test_full_rank_gives_one_start(self):
+        anchors = np.array([[0, 0, 0], [100, 0, 0], [0, 100, 0], [0, 0, 100], [60, 70, 80.0]])
+        target = np.array([20.0, 30.0, 40.0])
+        d = np.linalg.norm(anchors - target, axis=1)
+        starts, counts = _closed_form_starts(anchors[None], d[None], *_box(self.TALL))
+        assert counts[0] == 1
+        assert np.allclose(starts[0, 0], target, atol=1e-6)
+
+    def test_two_lost_directions_take_the_grid(self, monkeypatch):
+        # Collinear anchors with all three axes free lose two directions.
+        anchors = np.column_stack([np.linspace(-50, 50, 20), np.zeros(20), np.full(20, 100.0)])
+        d = np.linalg.norm(anchors - np.array([10.0, 20.0, 0.0]), axis=1)
+        _, counts = _closed_form_starts(anchors[None], d[None], *_box(BAND))
+        assert counts[0] == 0
+        calls = _record_kernel_calls(monkeypatch)
+        pseudo_multilaterate_static_batch(anchors[None], d[None], BAND)
+        assert calls == [(1, len(BAND.start_points()))]
+
+    def test_unconverged_closed_form_takes_the_grid(self, monkeypatch):
+        # One iteration cannot converge a noisy solve, so the grid runs too
+        # and the solution says it did not converge.
+        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=3)
+        anchors, d = _arrays(circle_measurements(Position3(20, -10, 0), model=model))
+        opts = SolveOptions(bounds=BAND.bounds, max_iter=1)
+        calls = _record_kernel_calls(monkeypatch)
+        sol = pseudo_multilaterate_static_batch(anchors[None], d[None], opts)[0]
+        assert calls == [(1, 2), (1, len(opts.start_points()))]
+        assert not sol.converged
+
+    def test_noisy_solves_report_converged(self):
+        anchors, d = _mixed_batch()
+        level = np.arange(anchors.shape[0]) % 3 == 0
+        sols = pseudo_multilaterate_static_batch(anchors[level], d[level], BAND)
+        assert all(sol.converged for sol in sols)
+
+    def test_alone_or_in_a_batch_bit_identical(self):
+        anchors, d = _mixed_batch()
+        lo, hi = _box(BAND)
+        starts, counts = _closed_form_starts(anchors, d, lo, hi)
+        assert set(counts) == {0, 1, 2}
+        sols = pseudo_multilaterate_static_batch(anchors, d, BAND)
+        for b in range(anchors.shape[0]):
+            alone_starts, alone_counts = _closed_form_starts(anchors[b : b + 1], d[b : b + 1], lo, hi)
+            assert np.array_equal(alone_starts[0], starts[b]) and alone_counts[0] == counts[b]
+            assert pseudo_multilaterate_static_batch(anchors[b : b + 1], d[b : b + 1], BAND)[0] == sols[b]
+        part = slice(5, 17)
+        assert pseudo_multilaterate_static_batch(anchors[part], d[part], BAND) == sols[part]
+
+    def test_kernel_never_called_with_zero_problems(self, monkeypatch):
+        calls = _record_kernel_calls(monkeypatch)
+        anchors, d = _mixed_batch()
+        kinds = np.arange(anchors.shape[0]) % 3
+        for group in ([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]):
+            pick = np.isin(kinds, group)
+            pseudo_multilaterate_static_batch(anchors[pick], d[pick], BAND)
+        ranges = [AnchorRange(Position3(*a), float(di)) for a, di in zip(anchors[1, :6], d[1, :6])]
+        multilaterate(ranges, SolveOptions(bounds=((-200.0, 200.0),) * 3))
+        pseudo_multilaterate_moving(circle_measurements(Position3(12, 7, 0)), window=20, stride=10, opts=BAND)
+        cfg = {
+            "version": 1,
+            "trajectory": {"kind": "circular", "center": [300.0, 0.0, 40.0], "radius": 50.0,
+                           "angular_speed": 2 * math.pi / 60},
+            "dt": 1.0,
+            "target": {"kind": "static", "position": [0.0, 0.0, 0.0]},
+            "noise": {"kind": "statistical", "sigma0": 1.0, "eta": 0.01, "nlos_bias_mean": 5.0},
+            "relocation": {"min_radius": 15.0, "shrink_factor": 0.5, "max_center_step": 400.0, "altitude": 40.0},
+            "n_revolutions": 2,
+            "runs": 12,
+            "bounds": [[-150.0, 150.0], [-150.0, 150.0], [0.0, 10.0]],
+        }
+        run_scenario(parse_scenario_config(cfg))
+        assert calls  # the recorder refused any call with zero problems
+
+    def test_moving_tracker_keeps_its_warm_start(self, monkeypatch):
+        calls = _record_kernel_calls(monkeypatch)
+        meas = circle_measurements(Position3(12, 7, 0))
+        track = pseudo_multilaterate_moving(meas, window=20, stride=20, opts=BAND)
+        # the first window has no warm start; the next two add one each
+        assert calls == [(1, 2), (1, 3), (1, 3)]
+        assert np.allclose(track.p, [12, 7, 0], atol=1e-6)
