@@ -27,7 +27,6 @@ from .localization import (
     SolveOptions,
     crlb,
     multilaterate,
-    pseudo_multilaterate_moving,
     pseudo_multilaterate_static,
     pseudo_multilaterate_static_batch,
     residual_sum,

@@ -35,12 +35,12 @@ from .localization import SolveOptions, pseudo_multilaterate_static_batch
 from .ranging import (
     NoiseModel,
     Obstacle,
-    RangeMeasurement,
+    _distances,
     _fmt,
-    build_measurement_matrix,
-    collect_measurements,
+    _line_of_sight,
+    _ranges,
+    _split_revolutions,
     export_dataset,
-    los_blocked,
 )
 from .relocation import RelocationPolicy, predict_target, relocate
 from .waveform import (
@@ -476,28 +476,26 @@ def _collect_waveform_backed(
     obstacles,
     backend: WaveformRanging,
     seed: int,
-) -> list[RangeMeasurement]:
+) -> tuple[np.ndarray, np.ndarray]:
+    los = _line_of_sight(anchor_path.p, target_path.p, obstacles)
+    d_true = _distances(anchor_path.p, target_path.p)
     rng = np.random.default_rng(seed)
     cfg = backend.waveform
     pilot = make_pilot(cfg)
-    out = []
-    for k in range(len(anchor_path)):
-        anchor = anchor_path.position(k)
-        target = target_path.position(k)
-        d_true = float(np.linalg.norm(anchor_path.p[k] - target_path.p[k]))
-        los = not los_blocked(anchor, target, obstacles)
-        paths = backend.ensemble.draw_paths(d_true, cfg.carrier_freq, rng, los=los)
+    d = np.empty_like(d_true)
+    for k in range(d.size):
+        paths = backend.ensemble.draw_paths(float(d_true[k]), cfg.carrier_freq, rng, los=bool(los[k]))
         received = apply_channel(pilot, paths, cfg, rng)
-        d_meas = toa_to_distance(estimate_toa(received, cfg))
-        out.append(RangeMeasurement(float(anchor_path.t[k]), anchor, d_meas, los))
-    return out
+        d[k] = toa_to_distance(estimate_toa(received, cfg))
+    return d, los
 
 
-def _collect(cfg: ScenarioConfig, anchor_path: WaypointSeries, seed: int) -> list[RangeMeasurement]:
+def _collect(cfg: ScenarioConfig, anchor_path: WaypointSeries, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Measured ranges (S,) and LoS flags (S,) along ``anchor_path``."""
     target_path = cfg.target.series_at(anchor_path.t)
     if isinstance(cfg.noise, NoiseModel):
         model = dataclasses.replace(cfg.noise, seed=seed)
-        return collect_measurements(anchor_path, target_path, cfg.obstacles, model)
+        return _ranges(anchor_path.p, target_path.p, cfg.obstacles, model)
     return _collect_waveform_backed(anchor_path, target_path, cfg.obstacles, cfg.noise, seed)
 
 
@@ -531,9 +529,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             st = states[run]
             n_samples = cfg.samples_per_rev(st.spec)
             anchor_path = sample_trajectory(st.spec, st.t_cursor, cfg.dt, n_samples)
-            meas = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, rev))
+            d, _ = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, rev))
             t_mid = 0.5 * float(anchor_path.t[0] + anchor_path.t[-1])
-            return t_mid, anchor_path.p, np.array([m.d_meas for m in meas])
+            return t_mid, anchor_path.p, d
 
         ranged = _map_indexed(measure, cfg.runs)
 
@@ -588,12 +586,13 @@ def scenario_matrices(cfg: ScenarioConfig, run: int = 0):
     n_samples = cfg.samples_per_rev(spec)
     total = n_samples * cfg.n_revolutions
     anchor_path = sample_trajectory(spec, 0.0, cfg.dt, total)
-    meas = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, 0))
+    d, los = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, 0))
     labels = [
         cfg.target.position_at(0.5 * cfg.dt * (r * n_samples + (r + 1) * n_samples - 1))
         for r in range(cfg.n_revolutions)
     ]
-    return build_measurement_matrix(meas, spec, labels=labels)
+    rows = np.column_stack([anchor_path.p, d])
+    return _split_revolutions(anchor_path.t, rows, los, spec, labels)
 
 
 # ---------------------------------------------------------------------------

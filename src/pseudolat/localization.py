@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .geometry import Position3, WaypointSeries
+from .geometry import Position3
 from .ranging import RangeMeasurement
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "multilaterate",
     "pseudo_multilaterate_static",
     "pseudo_multilaterate_static_batch",
-    "pseudo_multilaterate_moving",
     "crlb",
 ]
 
@@ -98,14 +97,11 @@ class SolveOptions:
             if hi < lo:
                 raise ValueError("bounds must satisfy lo <= hi on every axis")
 
-    def start_points(self, extra: Sequence[np.ndarray] = ()) -> np.ndarray:
+    def start_points(self) -> np.ndarray:
         axes = []
         for (lo, hi), count in zip(self.bounds, self.multistart_grid):
             axes.append(np.linspace(lo, hi, count) if count > 1 else np.array([lo]))
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        if extra:
-            grid = np.vstack([np.asarray(extra, dtype=np.float64).reshape(-1, 3), grid])
-        return grid
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -249,20 +245,14 @@ def _lm(anchors: np.ndarray, d: np.ndarray, starts: np.ndarray, lo, hi, opts: So
     return points, f, conv
 
 
-def _solve_clusters(
-    anchors: np.ndarray,
-    d: np.ndarray,
-    opts: SolveOptions,
-    extra_starts: Sequence[np.ndarray] = (),
-):
+def _solve_clusters(anchors: np.ndarray, d: np.ndarray, opts: SolveOptions):
     """Clustered minima of each problem: anchors (B, K, 3), d (B, K).
 
-    LM runs from the closed-form starts (after any ``extra_starts``); a
-    problem the closed form cannot seed, or none of whose closed-form starts
-    converged, is solved again from the ``multistart_grid`` grid instead.
+    LM runs from the closed-form starts; a problem the closed form cannot
+    seed, or none of whose closed-form starts converged, is solved again
+    from the ``multistart_grid`` grid instead.
     """
     lo, hi = _box(opts)
-    extra = np.asarray(extra_starts, dtype=np.float64).reshape(-1, 3)
     starts, counts = _closed_form_starts(anchors, d, lo, hi)
     ends: list = [None] * anchors.shape[0]
     fallback = counts == 0
@@ -277,12 +267,11 @@ def _solve_clusters(
     for n in (1, 2):
         idx = np.flatnonzero(counts == n)
         if idx.size:
-            own = np.broadcast_to(extra, (idx.size, *extra.shape))
-            conv = solve(idx, np.concatenate([own, starts[idx, :n]], axis=1))
-            fallback[idx] = ~conv[:, len(extra) :].any(axis=1)
+            conv = solve(idx, starts[idx, :n])
+            fallback[idx] = ~conv.any(axis=1)
     idx = np.flatnonzero(fallback)
     if idx.size:
-        solve(idx, opts.start_points(extra_starts))
+        solve(idx, opts.start_points())
     return [_cluster_minima(p, f, conv, opts.ambiguity_min_sep) for p, f, conv in ends]
 
 
@@ -355,42 +344,6 @@ def pseudo_multilaterate_static_batch(
     if anchors.shape[1] < 3:
         raise ValueError(f"need >= 3 measurements, got {anchors.shape[1]}")
     return [_solution_from_clusters(c, opts) for c in _solve_clusters(anchors, d, opts)]
-
-
-def pseudo_multilaterate_moving(
-    meas: Sequence[RangeMeasurement],
-    window: int,
-    stride: int,
-    opts: SolveOptions = SolveOptions(),
-) -> WaypointSeries:
-    """Track a slow target with sliding-window static solves.
-
-    Each window is solved as a static problem, warm-started from the
-    previous window's estimate; the estimate is reported at the window
-    midpoint time. This is a tractable surrogate for the joint
-    consecutive-estimate objective, which is not solvable exactly.
-    """
-    if window < 3:
-        raise ValueError(f"window must be >= 3, got {window}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if window > len(meas):
-        raise ValueError(f"window {window} exceeds measurement count {len(meas)}")
-
-    t_out = []
-    p_out = []
-    prev: np.ndarray | None = None
-    for i in range(0, len(meas) - window + 1, stride):
-        sub = meas[i : i + window]
-        anchors = np.array([m.anchor.as_array() for m in sub])
-        d = np.array([m.d_meas for m in sub])
-        extra = (prev,) if prev is not None else ()
-        clusters = _solve_clusters(anchors[None], d[None], opts, extra_starts=extra)[0]
-        sol = _solution_from_clusters(clusters, opts)
-        prev = sol.p_hat.as_array()
-        t_out.append(0.5 * (sub[0].t + sub[-1].t))
-        p_out.append(prev)
-    return WaypointSeries(np.array(t_out), np.array(p_out))
 
 
 def crlb(

@@ -107,36 +107,76 @@ class MeasurementMatrix:
         object.__setattr__(self, "los", los)
 
 
-def _segment_hits_box(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    # Slab test on p(s) = a + s*(b - a), s in [0, 1]; touching counts as a hit.
-    d = b - a
-    smin, smax = 0.0, 1.0
-    for i in range(3):
-        if abs(d[i]) < 1e-300:
-            if a[i] < lo[i] or a[i] > hi[i]:
-                return False
-        else:
-            s0 = (lo[i] - a[i]) / d[i]
-            s1 = (hi[i] - a[i]) / d[i]
-            if s0 > s1:
-                s0, s1 = s1, s0
-            smin = max(smin, s0)
-            smax = min(smax, s1)
-            if smin > smax:
-                return False
-    return True
+def _line_of_sight(anchor_p: np.ndarray, target_p: np.ndarray, obstacles: Sequence[Obstacle]) -> np.ndarray:
+    """(S,) True where the segment from ``anchor_p[k]`` to ``target_p[k]``
+    clears every obstacle box; both arrays are (S, 3) and must be finite.
+
+    Slab test on p(s) = a + s*(b - a), s in [0, 1], for all samples and
+    boxes at once; touching a box counts as a hit. An axis with
+    |b_i - a_i| < 1e-300 is parallel to the slab: the segment misses when a_i
+    lies outside [lo_i, hi_i], and the axis puts no bound on s.
+    """
+    if not (np.isfinite(anchor_p).all() and np.isfinite(target_p).all()):
+        raise ValueError("anchor and target positions must be finite")
+    if np.any(np.all(anchor_p == target_p, axis=1)):
+        raise ValueError("anchor and target must not coincide")
+    if not obstacles:
+        return np.ones(anchor_p.shape[0], dtype=bool)
+    lo = np.array([box.min_corner.as_array() for box in obstacles])[None]  # (1, B, 3)
+    hi = np.array([box.max_corner.as_array() for box in obstacles])[None]
+    a, d = anchor_p[:, None, :], (target_p - anchor_p)[:, None, :]  # (S, 1, 3)
+    parallel = np.abs(d) < 1e-300
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s0 = (lo - a) / d
+        s1 = (hi - a) / d
+    smin = np.where(parallel, -np.inf, np.minimum(s0, s1)).max(axis=2, initial=0.0)
+    smax = np.where(parallel, np.inf, np.maximum(s0, s1)).min(axis=2, initial=1.0)
+    outside = parallel & ((a < lo) | (a > hi))
+    hit = (smin <= smax) & ~outside.any(axis=2)  # (S, B)
+    return ~hit.any(axis=1)
 
 
 def los_blocked(anchor: Position3, target: Position3, obstacles: Sequence[Obstacle]) -> bool:
     """True iff the anchor-target segment intersects any obstacle box."""
-    a = anchor.as_array()
-    b = target.as_array()
-    if np.array_equal(a, b):
-        raise ValueError("anchor and target must not coincide")
-    for box in obstacles:
-        if _segment_hits_box(a, b, box.min_corner.as_array(), box.max_corner.as_array()):
-            return True
-    return False
+    return not _line_of_sight(anchor.as_array()[None], target.as_array()[None], obstacles)[0]
+
+
+def _distances(anchor_p: np.ndarray, target_p: np.ndarray) -> np.ndarray:
+    # A stacked matmul reduces each row with the same dot product as
+    # np.linalg.norm of that row, so the bits agree; an elementwise sum of
+    # squares does not.
+    diff = anchor_p - target_p
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+
+
+def _ranges(
+    anchor_p: np.ndarray,
+    target_p: np.ndarray,
+    obstacles: Sequence[Obstacle],
+    model: NoiseModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy ranges ``d_meas`` (S,) and LoS flags (S,) of the (S, 3) paths.
+
+    Bit-identical to :func:`sample_range` applied per sample with one
+    generator seeded from ``model.seed``: one normal per sample, an
+    exponential right after each blocked sample's normal, then the clamp.
+    A maximal run of LoS samples takes its normals in one call.
+    """
+    los = _line_of_sight(anchor_p, target_p, obstacles)
+    d_true = _distances(anchor_p, target_p)
+    sigma = model.sigma0 + model.eta * d_true
+    rng = np.random.default_rng(model.seed)
+    noise = np.empty_like(d_true)
+    bias = np.zeros_like(d_true)
+    start = 0
+    for k in np.flatnonzero(~los):
+        noise[start:k] = rng.normal(0.0, sigma[start:k])
+        noise[k] = rng.normal(0.0, sigma[k])
+        bias[k] = rng.exponential(model.nlos_bias_mean)
+        start = k + 1
+    noise[start:] = rng.normal(0.0, sigma[start:])
+    d = (d_true + noise) + bias
+    return np.where(d > 0.0, d, 0.0), los
 
 
 def sample_range(d_true: float, los: bool, model: NoiseModel, rng: np.random.Generator) -> float:
@@ -166,16 +206,11 @@ def collect_measurements(
     """
     if not np.array_equal(anchor_path.t, target_path.t):
         raise ValueError("anchor and target series must share the time grid")
-    rng = np.random.default_rng(model.seed)
-    out = []
-    for k in range(len(anchor_path)):
-        anchor = anchor_path.position(k)
-        target = target_path.position(k)
-        d_true = float(np.linalg.norm(anchor_path.p[k] - target_path.p[k]))
-        los = not los_blocked(anchor, target, obstacles)
-        d_meas = sample_range(d_true, los, model, rng)
-        out.append(RangeMeasurement(float(anchor_path.t[k]), anchor, d_meas, los))
-    return out
+    d, los = _ranges(anchor_path.p, target_path.p, obstacles, model)
+    return [
+        RangeMeasurement(float(anchor_path.t[k]), anchor_path.position(k), float(d[k]), bool(los[k]))
+        for k in range(len(anchor_path))
+    ]
 
 
 def build_measurement_matrix(
@@ -190,11 +225,19 @@ def build_measurement_matrix(
     dropped. ``labels`` attaches the true target position to each matrix,
     either one shared position or one per revolution.
     """
+    t = np.array([m.t for m in measurements])
+    rows = np.array([[m.anchor.x, m.anchor.y, m.anchor.z, m.d_meas] for m in measurements])
+    los = np.array([m.los for m in measurements], dtype=bool)
+    return _split_revolutions(t, rows, los, spec, labels)
+
+
+def _split_revolutions(t, rows, los, spec, labels) -> list[MeasurementMatrix]:
+    """:func:`build_measurement_matrix` on arrays: times (S,), rows (S, 4)
+    of [x, y, z, d_meas] and LoS flags (S,)."""
     if not isinstance(spec, CircularTrajectory):
         raise ValueError("measurement matrices require a circular trajectory")
-    if len(measurements) < 2:
+    if len(t) < 2:
         return []
-    t = np.array([m.t for m in measurements])
     if not np.all(np.diff(t) > 0):
         raise ValueError("measurements must be time-ordered")
     dt = float(t[1] - t[0])
@@ -202,20 +245,18 @@ def build_measurement_matrix(
     samples_per_rev = int(round(period / dt))
     if samples_per_rev < 1:
         raise ValueError("time step exceeds the revolution period")
-    n_revs = len(measurements) // samples_per_rev
+    n_revs = len(t) // samples_per_rev
 
     matrices = []
     for r in range(n_revs):
-        chunk = measurements[r * samples_per_rev : (r + 1) * samples_per_rev]
-        rows = np.array([[m.anchor.x, m.anchor.y, m.anchor.z, m.d_meas] for m in chunk])
-        los = np.array([m.los for m in chunk], dtype=bool)
+        chunk = slice(r * samples_per_rev, (r + 1) * samples_per_rev)
         if labels is None:
             label = None
         elif isinstance(labels, Position3):
             label = labels
         else:
             label = labels[r]
-        matrices.append(MeasurementMatrix(rows=rows, los=los, revolution=r, label=label))
+        matrices.append(MeasurementMatrix(rows=rows[chunk], los=los[chunk], revolution=r, label=label))
     return matrices
 
 

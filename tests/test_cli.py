@@ -284,6 +284,16 @@ def test_runtime_failure_exits_3(tmp_path, scenario_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "export-dataset"])
+def test_target_on_the_anchor_path_exits_3(tmp_path, scenario_file, capsys, command):
+    cfg = json.loads(scenario_file.read_text())
+    cfg["target"]["position"] = [50.0, 0.0, 100.0]  # sample 0 of the circle
+    scenario_file.write_text(json.dumps(cfg))
+    code = main(["--quiet", "--out-dir", str(tmp_path / "out"), command, str(scenario_file)])
+    assert code == 3
+    assert "anchor and target must not coincide" in capsys.readouterr().err
+
+
 def test_compare_waveforms_deterministic(tmp_path):
     cfg = {
         "version": 1,

@@ -234,6 +234,29 @@ class TestRunScenario:
         # One ranging bin at 64 x 30 kHz is ~156 m, so just check sanity.
         assert report.errors[0] < 200.0
 
+    @pytest.mark.parametrize("obstacles", [[], [{"min": [-5.0, -5.0, 0.0], "max": [5.0, 5.0, 20.0]}]])
+    @pytest.mark.parametrize("backend", ["statistical", "waveform"])
+    def test_target_on_the_anchor_path_rejected(self, backend, obstacles):
+        # Sample 0 of the circle is (50, 0, 100), where the target sits.
+        noise = {
+            "statistical": {"kind": "statistical"},
+            "waveform": {
+                "kind": "waveform",
+                "waveform": {"scheme": "otfs", "n_subcarriers": 64, "n_symbols": 8},
+            },
+        }[backend]
+        raw = base_scenario(
+            target={"kind": "static", "position": [50.0, 0.0, 100.0]},
+            noise=noise,
+            obstacles=obstacles,
+            runs=1,
+        )
+        cfg = parse_scenario_config(raw)
+        with pytest.raises(ValueError, match="anchor and target must not coincide"):
+            run_scenario(cfg)
+        with pytest.raises(ValueError, match="anchor and target must not coincide"):
+            scenario_matrices(cfg)
+
 
 class TestMatrices:
     def test_scenario_matrices_labels(self):

@@ -21,7 +21,6 @@ from pseudolat.localization import (
     _closed_form_starts,
     crlb,
     multilaterate,
-    pseudo_multilaterate_moving,
     pseudo_multilaterate_static,
     pseudo_multilaterate_static_batch,
     residual_jacobian,
@@ -284,53 +283,6 @@ class TestPseudoStatic:
             assert sol.residual <= best + 1e-9
 
 
-class TestPseudoMoving:
-    def test_static_target_reduces_to_static_solution(self):
-        target = Position3(12, 7, 0)
-        meas = circle_measurements(target)
-        track = pseudo_multilaterate_moving(meas, window=20, stride=10, opts=BAND)
-        static = pseudo_multilaterate_static(meas, BAND)
-        for p in track.p:
-            assert np.linalg.norm(p - static.p_hat.as_array()) < 1e-6
-
-    def test_constant_velocity_target_tracked(self):
-        # Closed-form target track oracle at each window midpoint.
-        spec = CircularTrajectory(center=Position3(0, 0, 100), radius=50, angular_speed=2 * math.pi / 60)
-        anchor = sample_trajectory(spec, 0.0, 1.0, 60)
-        v = np.array([0.5, 0.0, 0.0])
-        start = np.array([5.0, -5.0, 0.0])
-        path = start[None, :] + anchor.t[:, None] * v[None, :]
-        meas = collect_measurements(anchor, WaypointSeries(anchor.t, path), [], NOISELESS)
-        window = 20
-        track = pseudo_multilaterate_moving(meas, window=window, stride=5, opts=BAND)
-        max_disp = np.linalg.norm(v) * (window - 1)
-        for tm, pm in zip(track.t, track.p):
-            truth = start + tm * v
-            assert np.linalg.norm(pm - truth) <= 2.0 * max_disp
-
-    def test_time_reversal_consistency(self):
-        target = Position3(12, 7, 0)
-        meas = circle_measurements(target)
-        fwd = pseudo_multilaterate_moving(meas, window=15, stride=15, opts=BAND)
-
-        from pseudolat.ranging import RangeMeasurement
-
-        rev = [RangeMeasurement(-m.t, m.anchor, m.d_meas, m.los) for m in reversed(meas)]
-        bwd = pseudo_multilaterate_moving(rev, window=15, stride=15, opts=BAND)
-        assert np.allclose(bwd.t, -fwd.t[::-1])
-        assert np.allclose(bwd.p, fwd.p[::-1], atol=1e-6)
-
-    def test_window_validation(self):
-        target = Position3(12, 7, 0)
-        meas = circle_measurements(target)
-        with pytest.raises(ValueError):
-            pseudo_multilaterate_moving(meas, window=2, stride=1, opts=BAND)
-        with pytest.raises(ValueError):
-            pseudo_multilaterate_moving(meas, window=20, stride=0, opts=BAND)
-        with pytest.raises(ValueError):
-            pseudo_multilaterate_moving(meas, window=100, stride=1, opts=BAND)
-
-
 def _arrays(meas):
     anchors = np.array([m.anchor.as_array() for m in meas])
     return anchors, np.array([m.d_meas for m in meas])
@@ -457,7 +409,6 @@ class TestClosedFormStarts:
             pseudo_multilaterate_static_batch(anchors[pick], d[pick], BAND)
         ranges = [AnchorRange(Position3(*a), float(di)) for a, di in zip(anchors[1, :6], d[1, :6])]
         multilaterate(ranges, SolveOptions(bounds=((-200.0, 200.0),) * 3))
-        pseudo_multilaterate_moving(circle_measurements(Position3(12, 7, 0)), window=20, stride=10, opts=BAND)
         cfg = {
             "version": 1,
             "trajectory": {"kind": "circular", "center": [300.0, 0.0, 40.0], "radius": 50.0,
@@ -472,11 +423,3 @@ class TestClosedFormStarts:
         }
         run_scenario(parse_scenario_config(cfg))
         assert calls  # the recorder refused any call with zero problems
-
-    def test_moving_tracker_keeps_its_warm_start(self, monkeypatch):
-        calls = _record_kernel_calls(monkeypatch)
-        meas = circle_measurements(Position3(12, 7, 0))
-        track = pseudo_multilaterate_moving(meas, window=20, stride=20, opts=BAND)
-        # the first window has no warm start; the next two add one each
-        assert calls == [(1, 2), (1, 3), (1, 3)]
-        assert np.allclose(track.p, [12, 7, 0], atol=1e-6)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pseudolat.geometry import CircularTrajectory, Position3, sample_trajectory
+import ranging_reference as reference
+from pseudolat.geometry import CircularTrajectory, Position3, WaypointSeries, sample_trajectory
 from pseudolat.ranging import (
     MeasurementMatrix,
     NoiseModel,
     Obstacle,
+    _ranges,
     build_measurement_matrix,
     collect_measurements,
     export_dataset,
@@ -145,6 +149,131 @@ class TestCollect:
             d_true = np.linalg.norm(anchor.p[k] - target.as_array())
             if not m.los:
                 assert m.d_meas >= d_true
+
+
+def assert_matches_reference(anchor_p, target_p, obstacles, model):
+    """The array path and the per-sample reference agree bit for bit."""
+    t = np.arange(len(anchor_p), dtype=np.float64)
+    anchor, target = WaypointSeries(t, anchor_p), WaypointSeries(t, target_p)
+    want = reference.collect_measurements(anchor, target, obstacles, model)
+    d, los = _ranges(anchor.p, target.p, obstacles, model)
+    assert np.array_equal(d.view(np.uint64), np.array([m.d_meas for m in want]).view(np.uint64))
+    assert los.tolist() == [m.los for m in want]
+    assert collect_measurements(anchor, target, obstacles, model) == want
+    for k in range(len(t)):
+        a, b = anchor.position(k), target.position(k)
+        assert los_blocked(a, b, obstacles) is reference.los_blocked(a, b, obstacles)
+    return los
+
+
+# Anchor k hovers at (k, 0, 10) straight above target k at (k, 0, 0), so
+# d_x = d_y = 0 on every segment.
+_COLUMN = np.column_stack([np.arange(7.0), np.zeros(7), np.full(7, 10.0)])
+_GROUND = _COLUMN * [1.0, 1.0, 0.0]
+_FIRST_TWO = box((-0.5, -1, 3), (1.5, 1, 5))
+_LAST = box((5.5, -1, 3), (7, 1, 5))
+_FACE = box((3, -1, 3), (4, 1, 5))  # segments 3 and 4 lie in its x faces
+_ALL = box((-1, -1, 2), (7, 1, 8))
+_MODELS = [
+    NOISELESS,  # d_meas is d_true, bit for bit
+    NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=7),
+    NoiseModel(sigma0=0.5, eta=0.0, nlos_bias_mean=0.0, seed=8),
+    # sigma well above the ranges: many draws clamp to 0
+    NoiseModel(sigma0=30.0, eta=0.5, nlos_bias_mean=2.0, seed=9),
+]
+
+
+class TestArrayRanges:
+    @pytest.mark.parametrize("model", _MODELS)
+    @pytest.mark.parametrize(
+        "obstacles, blocked",
+        [
+            ([], []),
+            ([_FIRST_TWO, _LAST], [0, 1, 6]),
+            ([_FACE], [3, 4]),
+            ([_FIRST_TWO, _FACE, _LAST], [0, 1, 3, 4, 6]),
+            ([_ALL, _LAST], list(range(7))),
+        ],
+    )
+    def test_vertical_segments_match_reference(self, model, obstacles, blocked):
+        los = assert_matches_reference(_COLUMN, _GROUND, obstacles, model)
+        assert np.flatnonzero(~los).tolist() == blocked
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_circle_with_wall_matches_reference(self, static_series, model):
+        _, anchor = circle_60()
+        target = static_series(anchor.t, Position3(60, 0, 0))
+        los = assert_matches_reference(anchor.p, target.p, [box((0, -10, 0), (10, 10, 70))], model)
+        assert 0 < np.count_nonzero(~los) < 60
+
+    def test_slanted_segment_touching_an_edge_is_blocked(self):
+        # (-1, 0, 2) -> (1, 0, 0) passes through (0, 0, 1), the box's lower x-z edge.
+        edge = box((0, -1, 1), (1, 1, 2))
+        los = assert_matches_reference(
+            np.array([[-1.0, 0.0, 2.0]]), np.array([[1.0, 0.0, 0.0]]), [edge], _MODELS[1]
+        )
+        assert not los[0]
+
+    @pytest.mark.parametrize("obstacles", [[], [box((-1, -1, 1), (1, 1, 2))]])
+    def test_coincident_sample_rejected(self, obstacles):
+        anchor_p = np.array([[0.0, 0.0, 5.0], [3.0, 4.0, 0.0], [1.0, 0.0, 5.0]])
+        target_p = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="anchor and target must not coincide"):
+            _ranges(anchor_p, target_p, obstacles, _MODELS[1])
+
+    @pytest.mark.parametrize("side", ["anchor", "target"])
+    def test_non_finite_position_rejected(self, side):
+        # A linear target far enough out overflows to inf late in a revolution.
+        anchor_p = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0]])
+        target_p = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        {"anchor": anchor_p, "target": target_p}[side][1, 0] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            _ranges(anchor_p, target_p, [], _MODELS[1])
+
+
+@st.composite
+def ranging_cases(draw):
+    """Paths and boxes on a grid, so that segments parallel to an axis,
+    segments through box faces and edges, and blocked runs of every shape
+    are common; anchors fly above the targets, so no sample coincides. A
+    non-integer grid step makes the distances inexact."""
+    n = draw(st.integers(1, 24))
+    xy = st.integers(-6, 6)
+    anchor_p = np.array(
+        [[draw(xy), draw(xy), draw(st.integers(6, 12))] for _ in range(n)], dtype=np.float64
+    )
+    if draw(st.booleans()):
+        target_p = anchor_p * [1.0, 1.0, 0.0]  # straight below the anchor
+    else:
+        target_p = np.array(
+            [[draw(xy), draw(xy), draw(st.integers(0, 5))] for _ in range(n)], dtype=np.float64
+        )
+    obstacles = []
+    for _ in range(draw(st.integers(0, 4))):
+        lo = [draw(st.integers(-6, 5)), draw(st.integers(-6, 5)), draw(st.integers(0, 11))]
+        size = [draw(st.integers(1, 8)) for _ in range(3)]
+        obstacles.append(box(lo, [a + b for a, b in zip(lo, size)]))
+    if draw(st.integers(0, 7)) == 0:
+        # a slab between the anchors' and the targets' heights blocks every sample
+        obstacles.append(box((-7, -7, 5), (7, 7, 6)))
+    step = draw(st.sampled_from([1.0, 0.37, 2.9]))
+    anchor_p, target_p = step * anchor_p, step * target_p
+    obstacles = [
+        box(step * o.min_corner.as_array(), step * o.max_corner.as_array()) for o in obstacles
+    ]
+    model = NoiseModel(
+        sigma0=draw(st.sampled_from([0.0, 0.5, 1.0, 30.0])),
+        eta=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        nlos_bias_mean=draw(st.sampled_from([0.0, 5.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return anchor_p, target_p, obstacles, model
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ranging_cases())
+def test_array_ranges_match_reference(case):
+    assert_matches_reference(*case)
 
 
 class TestMatrices:
