@@ -36,12 +36,10 @@ from .ranging import (
     NoiseModel,
     Obstacle,
     RangeMeasurement,
-    build_measurement_matrix,
     collect_measurements,
     export_dataset,
     load_dataset,
     los_blocked,
-    sample_range,
 )
 from .relocation import RelocationPolicy, predict_target, relocate
 from .waveform import (

@@ -41,11 +41,6 @@ def backend() -> str:
     return "numpy"
 
 
-def problems_per_call(n_starts: int) -> int:
-    """How many problems of ``n_starts`` starts fit in one capped call."""
-    return max(1, _LANE_CAP // n_starts)
-
-
 def _residuals(P, anchors, d, prob):
     # Lane l belongs to problem prob[l]; the per-lane anchor rows are
     # gathered here so that only one transient copy of them exists.
@@ -162,7 +157,7 @@ def lm_solve_batch(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, dam
     lo = np.ascontiguousarray(lo, dtype=np.float64)
     hi = np.ascontiguousarray(hi, dtype=np.float64)
 
-    per_call = problems_per_call(S)
+    per_call = max(1, _LANE_CAP // S)
     parts = []
     # an empty batch still makes one (empty) pass so the outputs keep their shapes
     for b0 in range(0, max(B, 1), per_call):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import problems_per_call
 from .geometry import (
     CircularTrajectory,
     LinearTrajectory,
@@ -33,13 +32,13 @@ from .geometry import (
 )
 from .localization import SolveOptions, pseudo_multilaterate_static_batch
 from .ranging import (
+    MeasurementMatrix,
     NoiseModel,
     Obstacle,
     _distances,
     _fmt,
     _line_of_sight,
     _ranges,
-    _split_revolutions,
     export_dataset,
 )
 from .relocation import RelocationPolicy, predict_target, relocate
@@ -50,6 +49,7 @@ from .waveform import (
     apply_channel,
     estimate_toa,
     make_pilot,
+    ranging_error_trial,
     toa_to_distance,
 )
 
@@ -515,14 +515,11 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
 
     All runs advance through each revolution together: every run ranges the
     target along its own path with its own (base_seed, run, revolution)
-    seed, the runs are solved in blocks of one capped kernel call each, and
-    under a relocation policy each run then re-centres its circle.
+    seed, all runs are solved in one batched call, and under a relocation
+    policy each run then re-centres its circle.
     """
     start = time.perf_counter()
     states = [_RunState(cfg.trajectory) for _ in range(cfg.runs)]
-    # Closed-form seeding runs at most two starts per problem.
-    per_call = problems_per_call(2)
-    blocks = [range(b, min(b + per_call, cfg.runs)) for b in range(0, cfg.runs, per_call)]
     for rev in range(cfg.n_revolutions):
 
         def measure(run: int):
@@ -534,16 +531,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             return t_mid, anchor_path.p, d
 
         ranged = _map_indexed(measure, cfg.runs)
-
-        def solve(i: int):
-            block = blocks[i]
-            anchors = np.stack([ranged[run][1] for run in block])
-            d = np.stack([ranged[run][2] for run in block])
-            return pseudo_multilaterate_static_batch(anchors, d, cfg.solver)
-
-        sols = [sol for block_sols in _map_indexed(solve, len(blocks)) for sol in block_sols]
-        for run, (st, sol) in enumerate(zip(states, sols)):
-            t_mid, anchor_p, _ = ranged[run]
+        anchors = np.stack([anchor_p for _, anchor_p, _ in ranged])
+        d = np.stack([d_run for _, _, d_run in ranged])
+        sols = pseudo_multilaterate_static_batch(anchors, d, cfg.solver)
+        for st, (t_mid, anchor_p, _), sol in zip(states, ranged, sols):
             true_mid = cfg.target.position_at(t_mid)
             st.rev_errors.append(distance(sol.p_hat, true_mid))
             st.hist_t.append(t_mid)
@@ -575,24 +566,24 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     )
 
 
-def scenario_matrices(cfg: ScenarioConfig, run: int = 0):
+def scenario_matrices(cfg: ScenarioConfig, run: int = 0) -> list[MeasurementMatrix]:
     """Measurement matrices for dataset export (first run, no relocation).
 
-    Labels carry the true target position at each revolution midpoint.
+    One matrix per revolution, of ``samples_per_rev`` rows each, labelled
+    with the true target position at that revolution's midpoint.
     """
     if not isinstance(cfg.trajectory, CircularTrajectory):
         raise ConfigError("dataset export requires a circular trajectory")
-    spec = cfg.trajectory
-    n_samples = cfg.samples_per_rev(spec)
-    total = n_samples * cfg.n_revolutions
-    anchor_path = sample_trajectory(spec, 0.0, cfg.dt, total)
+    n_samples = cfg.samples_per_rev(cfg.trajectory)
+    anchor_path = sample_trajectory(cfg.trajectory, 0.0, cfg.dt, n_samples * cfg.n_revolutions)
     d, los = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, 0))
-    labels = [
-        cfg.target.position_at(0.5 * cfg.dt * (r * n_samples + (r + 1) * n_samples - 1))
-        for r in range(cfg.n_revolutions)
-    ]
     rows = np.column_stack([anchor_path.p, d])
-    return _split_revolutions(anchor_path.t, rows, los, spec, labels)
+    matrices = []
+    for r in range(cfg.n_revolutions):
+        cut = slice(r * n_samples, (r + 1) * n_samples)
+        label = cfg.target.position_at(0.5 * cfg.dt * (r * n_samples + (r + 1) * n_samples - 1))
+        matrices.append(MeasurementMatrix(rows=rows[cut], los=los[cut], revolution=r, label=label))
+    return matrices
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +651,7 @@ def compare_waveforms(cfg: CompareConfig) -> WaveformComparison:
                 np.random.SeedSequence((cfg.base_seed, trial, idx))
             )
             try:
-                received = apply_channel(make_pilot(wf), paths, wf, rng_noise)
-                err = abs(toa_to_distance(estimate_toa(received, wf)) - d_true)
+                err = ranging_error_trial(wf, d_true, paths, rng_noise)
             except DetectionFailure:
                 err = math.nan
             row.append(err)
@@ -742,11 +732,10 @@ def write_waveform_hist_csv(cmp: WaveformComparison, path) -> None:
     edges = spec.edges()
     lines = ["scheme,delta_f_hz,bin_left_m,bin_right_m,density"]
     for (scheme, df), err in sorted(cmp.errors.items()):
-        ok = err[np.isfinite(err)]
-        counts, _ = np.histogram(ok, bins=edges)
-        total = max(int(ok.size), 1)
-        for b in range(counts.size):
-            density = counts[b] / (total * spec.bin_width_m)
+        counts, _ = spec.counts(err)
+        total = max(int(np.isfinite(err).sum()), 1)
+        for b, count in enumerate(counts):
+            density = count / (total * spec.bin_width_m)
             lines.append(
                 f"{scheme},{_fmt(df)},{_fmt(edges[b])},{_fmt(edges[b + 1])},{_fmt(density)}"
             )
@@ -778,7 +767,5 @@ def write_comparison_json(cmp: WaveformComparison, path) -> None:
 def export_scenario_dataset(cfg: ScenarioConfig, path) -> int:
     """Run the measurement phase once and export the matrix dataset."""
     matrices = scenario_matrices(cfg)
-    if not matrices:
-        raise ConfigError("scenario produced no complete revolution of measurements")
     export_dataset(matrices, path)
     return len(matrices)

@@ -136,23 +136,27 @@ def _ranges_to_arrays(ranges: Sequence[AnchorRange]) -> tuple[np.ndarray, np.nda
     return anchors, d
 
 
-def residual_sum(candidate: Position3, ranges: Sequence[AnchorRange]) -> float:
-    """Sum of squared distance errors at a candidate point, m^2."""
+def _residual_terms(candidate: Position3, ranges: Sequence[AnchorRange]):
+    """The solver kernel's (diff, dist, r, f) at one candidate point."""
     if not ranges:
         raise ValueError("ranges must be nonempty")
     anchors, d = _ranges_to_arrays(ranges)
-    dist = np.linalg.norm(candidate.as_array()[None, :] - anchors, axis=1)
-    return float(np.sum((dist - d) ** 2))
+    diff, dist, r, f = _kernels._residuals(
+        candidate.as_array()[None], anchors[None], d[None], np.zeros(1, dtype=np.intp)
+    )
+    return diff[0], dist[0], r[0], f[0]
+
+
+def residual_sum(candidate: Position3, ranges: Sequence[AnchorRange]) -> float:
+    """Sum of squared distance errors at a candidate point, m^2."""
+    return float(_residual_terms(candidate, ranges)[3])
 
 
 def residual_jacobian(candidate: Position3, ranges: Sequence[AnchorRange]):
-    """Residual vector r_k = ||p - a_k|| - d_k and its analytic Jacobian."""
-    if not ranges:
-        raise ValueError("ranges must be nonempty")
-    anchors, d = _ranges_to_arrays(ranges)
-    diff = candidate.as_array()[None, :] - anchors
-    dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-    return dist - d, diff / dist[:, None]
+    """Residual vector r_k = ||p - a_k|| - d_k and the Jacobian the solver
+    kernel builds from it."""
+    diff, dist, r, _ = _residual_terms(candidate, ranges)
+    return r, diff / dist[:, None]
 
 
 def _cluster_minima(points: np.ndarray, residuals: np.ndarray, conv: np.ndarray, min_sep: float):

@@ -1,4 +1,4 @@
-"""Statistical ranging model and measurement-matrix construction.
+"""Statistical ranging model and the measurement-matrix dataset format.
 
 Measurements are noisy distances from the anchor to the target. The noise
 standard deviation grows affinely with the true distance (sigma0 + eta*d);
@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    CircularTrajectory,
-    Position3,
-    TrajectorySpec,
-    WaypointSeries,
-    revolution_period,
-)
+from .geometry import Position3, WaypointSeries
 
 __all__ = [
     "Obstacle",
@@ -28,9 +22,7 @@ __all__ = [
     "RangeMeasurement",
     "MeasurementMatrix",
     "los_blocked",
-    "sample_range",
     "collect_measurements",
-    "build_measurement_matrix",
     "export_dataset",
     "load_dataset",
 ]
@@ -69,7 +61,8 @@ class NoiseModel:
         if self.sigma0 < 0 or self.eta < 0 or self.nlos_bias_mean < 0:
             raise ValueError("noise parameters must be nonnegative")
 
-    def sigma(self, d_true: float) -> float:
+    def sigma(self, d_true):
+        """Range std at true distance(s) ``d_true``, a float or an array."""
         return self.sigma0 + self.eta * d_true
 
 
@@ -157,14 +150,17 @@ def _ranges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noisy ranges ``d_meas`` (S,) and LoS flags (S,) of the (S, 3) paths.
 
-    Bit-identical to :func:`sample_range` applied per sample with one
-    generator seeded from ``model.seed``: one normal per sample, an
-    exponential right after each blocked sample's normal, then the clamp.
-    A maximal run of LoS samples takes its normals in one call.
+    Each sample draws max(0, d_true + N(0, sigma0 + eta * d_true) + bias),
+    where only a blocked sample adds an Exponential(nlos_bias_mean) bias.
+    The draws come from one generator seeded from ``model.seed`` in the
+    order of the per-sample loop in ``tests/ranging_reference.py``, which
+    the tests check bit for bit: one normal per sample, an exponential
+    right after each blocked sample's normal. A maximal run of LoS samples
+    takes its normals in one call.
     """
     los = _line_of_sight(anchor_p, target_p, obstacles)
     d_true = _distances(anchor_p, target_p)
-    sigma = model.sigma0 + model.eta * d_true
+    sigma = model.sigma(d_true)
     rng = np.random.default_rng(model.seed)
     noise = np.empty_like(d_true)
     bias = np.zeros_like(d_true)
@@ -177,20 +173,6 @@ def _ranges(
     noise[start:] = rng.normal(0.0, sigma[start:])
     d = (d_true + noise) + bias
     return np.where(d > 0.0, d, 0.0), los
-
-
-def sample_range(d_true: float, los: bool, model: NoiseModel, rng: np.random.Generator) -> float:
-    """One noisy range draw: max(0, d_true + gaussian + nlos_bias).
-
-    The Gaussian draw always happens; the exponential bias draw happens only
-    for blocked samples. Negative results clamp to zero so the draw count
-    stays fixed.
-    """
-    if d_true < 0:
-        raise ValueError(f"d_true must be >= 0, got {d_true}")
-    noise = rng.normal(0.0, model.sigma(d_true))
-    bias = 0.0 if los else float(rng.exponential(model.nlos_bias_mean))
-    return max(0.0, d_true + noise + bias)
 
 
 def collect_measurements(
@@ -211,53 +193,6 @@ def collect_measurements(
         RangeMeasurement(float(anchor_path.t[k]), anchor_path.position(k), float(d[k]), bool(los[k]))
         for k in range(len(anchor_path))
     ]
-
-
-def build_measurement_matrix(
-    measurements: Sequence[RangeMeasurement],
-    spec: TrajectorySpec,
-    labels: Position3 | Sequence[Position3] | None = None,
-) -> list[MeasurementMatrix]:
-    """Partition time-ordered measurements into one matrix per revolution.
-
-    The per-revolution sample count comes from the revolution period and the
-    (uniform) measurement time step; a trailing incomplete revolution is
-    dropped. ``labels`` attaches the true target position to each matrix,
-    either one shared position or one per revolution.
-    """
-    t = np.array([m.t for m in measurements])
-    rows = np.array([[m.anchor.x, m.anchor.y, m.anchor.z, m.d_meas] for m in measurements])
-    los = np.array([m.los for m in measurements], dtype=bool)
-    return _split_revolutions(t, rows, los, spec, labels)
-
-
-def _split_revolutions(t, rows, los, spec, labels) -> list[MeasurementMatrix]:
-    """:func:`build_measurement_matrix` on arrays: times (S,), rows (S, 4)
-    of [x, y, z, d_meas] and LoS flags (S,)."""
-    if not isinstance(spec, CircularTrajectory):
-        raise ValueError("measurement matrices require a circular trajectory")
-    if len(t) < 2:
-        return []
-    if not np.all(np.diff(t) > 0):
-        raise ValueError("measurements must be time-ordered")
-    dt = float(t[1] - t[0])
-    period = revolution_period(spec)
-    samples_per_rev = int(round(period / dt))
-    if samples_per_rev < 1:
-        raise ValueError("time step exceeds the revolution period")
-    n_revs = len(t) // samples_per_rev
-
-    matrices = []
-    for r in range(n_revs):
-        chunk = slice(r * samples_per_rev, (r + 1) * samples_per_rev)
-        if labels is None:
-            label = None
-        elif isinstance(labels, Position3):
-            label = labels
-        else:
-            label = labels[r]
-        matrices.append(MeasurementMatrix(rows=rows[chunk], los=los[chunk], revolution=r, label=label))
-    return matrices
 
 
 def _fmt(v: float) -> str:

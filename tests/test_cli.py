@@ -1,9 +1,16 @@
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pseudolat.cli import main
+from pseudolat.geometry import sample_trajectory
+from pseudolat.harness import parse_scenario_config
+from pseudolat.ranging import load_dataset
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -252,6 +259,35 @@ def test_export_dataset(tmp_path, scenario_file):
     text = (out / "dataset.csv").read_text()
     assert text.startswith("rev,row,x,y,z,d,los,label_x,label_y,label_z")
     assert len(text.strip().split("\n")) == 1 + 60
+
+
+@pytest.mark.parametrize("target", ["static", "linear"])
+@pytest.mark.parametrize("samples", [90, 40])
+def test_export_cuts_revolutions_by_samples_per_revolution(tmp_path, capsys, samples, target):
+    # export_demo's period is 60 samples at its dt; a different
+    # samples_per_revolution must still give one matrix per revolution.
+    cfg = json.loads((CONFIGS / "export_demo.json").read_text())
+    cfg["samples_per_revolution"] = samples
+    start = np.array(cfg["target"]["position"])
+    velocity = np.array([0.05, 0.02, 0.0])
+    if target == "linear":
+        cfg["target"] = {"kind": "linear", "start": start.tolist(), "velocity": velocity.tolist()}
+    path = tmp_path / "export.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "dataset.csv"
+    assert main(["export-dataset", str(path), "--out", str(out)]) == 0
+    assert f"wrote {cfg['n_revolutions']} revolution matrices" in capsys.readouterr().out
+
+    mats = load_dataset(out)
+    assert [m.revolution for m in mats] == [0, 1, 2]
+    assert [m.rows.shape for m in mats] == [(samples, 4)] * 3
+    spec = parse_scenario_config(cfg).trajectory
+    anchor = sample_trajectory(spec, 0.0, cfg["dt"], 3 * samples)
+    assert np.array_equal(np.concatenate([m.rows[:, :3] for m in mats]), anchor.p)
+    for r, m in enumerate(mats):
+        t_mid = 0.5 * (anchor.t[r * samples] + anchor.t[(r + 1) * samples - 1])
+        want = start + t_mid * velocity if target == "linear" else start
+        assert np.allclose(m.label.as_array(), want, rtol=0.0, atol=1e-12)
 
 
 def test_compare_waveforms_small(tmp_path, capsys):

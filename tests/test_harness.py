@@ -19,6 +19,7 @@ from pseudolat.harness import (
     write_report_csv,
     write_summary_json,
 )
+from pseudolat.geometry import sample_trajectory
 from pseudolat.waveform import C_LIGHT, Path, PathSet, WaveformConfig
 
 
@@ -167,8 +168,8 @@ class TestRunScenario:
         assert [r.err_m for r in seq.records] == [r.err_m for r in par.records]
 
     def test_runs_do_not_depend_on_run_count(self):
-        # Runs are solved in blocks; a run's record must not depend on how
-        # many other runs share its revolution or its kernel call.
+        # A revolution's runs are solved in one batch; a run's record must
+        # not depend on how many other runs share its revolution.
         raw = base_scenario(
             trajectory={
                 "kind": "circular",
@@ -260,12 +261,46 @@ class TestRunScenario:
 
 class TestMatrices:
     def test_scenario_matrices_labels(self):
-        cfg = parse_scenario_config(base_scenario(n_revolutions=2, runs=1))
+        # One matrix per revolution, of the period's 60 samples, cut from one
+        # continuous anchor path.
+        cfg = parse_scenario_config(base_scenario(n_revolutions=3, runs=1))
         mats = scenario_matrices(cfg)
-        assert len(mats) == 2
-        assert mats[0].rows.shape == (60, 4)
+        assert [m.rows.shape for m in mats] == [(60, 4)] * 3
+        assert [m.revolution for m in mats] == [0, 1, 2]
+        path = sample_trajectory(cfg.trajectory, 0.0, cfg.dt, 180)
+        assert np.array_equal(np.concatenate([m.rows[:, :3] for m in mats]), path.p)
         assert mats[0].label is not None
         assert np.allclose(mats[0].label.as_array(), [20.0, -10.0, 0.0])
+
+    def test_rejects_linear_spec(self):
+        raw = base_scenario(
+            trajectory={"kind": "linear", "start": [0.0, 0.0, 100.0], "velocity": [10.0, 0.0, 0.0]},
+            samples_per_revolution=10,
+        )
+        with pytest.raises(ConfigError, match="circular trajectory"):
+            scenario_matrices(parse_scenario_config(raw))
+
+    def test_nlos_rows_positively_biased(self):
+        # The blocked run shows up as an elevated block of measured ranges
+        # relative to a noiseless, unobstructed export of the same path.
+        wall = {"min": [0.0, -10.0, 0.0], "max": [10.0, 10.0, 70.0]}
+        target = {"kind": "static", "position": [60.0, 0.0, 0.0]}
+        noisy = base_scenario(
+            target=target,
+            obstacles=[wall],
+            noise={"kind": "statistical", "sigma0": 0.0, "eta": 0.0, "nlos_bias_mean": 8.0},
+        )
+        clean = base_scenario(
+            target=target,
+            noise={"kind": "statistical", "sigma0": 0.0, "eta": 0.0, "nlos_bias_mean": 0.0},
+        )
+        m = scenario_matrices(parse_scenario_config(noisy))[0]
+        r = scenario_matrices(parse_scenario_config(clean))[0]
+        nlos_rows = np.nonzero(~m.los)[0]
+        assert 0 < nlos_rows.size < 60
+        assert np.all(m.rows[nlos_rows, 3] >= r.rows[nlos_rows, 3])
+        assert np.any(m.rows[nlos_rows, 3] > r.rows[nlos_rows, 3])
+        assert np.array_equal(m.rows[m.los, 3], r.rows[m.los, 3])
 
 
 class _IntegerBinLosEnsemble:

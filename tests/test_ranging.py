@@ -11,13 +11,12 @@ from pseudolat.ranging import (
     MeasurementMatrix,
     NoiseModel,
     Obstacle,
+    _distances,
     _ranges,
-    build_measurement_matrix,
     collect_measurements,
     export_dataset,
     load_dataset,
     los_blocked,
-    sample_range,
 )
 
 NOISELESS = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=0.0, seed=0)
@@ -50,35 +49,42 @@ class TestLosBlocked:
         assert not los_blocked(Position3(0, 0, 100), Position3(5, 5, 0), [])
 
 
-class TestSampleRange:
+def ranges_at(d_true: float, n: int, model: NoiseModel, blocked: bool):
+    """One array call of ``_ranges``: n anchors straight above the target
+    at height ``d_true``; a slab between them blocks every sample."""
+    anchor_p = np.tile([0.0, 0.0, d_true], (n, 1))
+    target_p = np.zeros((n, 3))
+    slab = [box((-1, -1, 0.25 * d_true), (1, 1, 0.75 * d_true))] if blocked else []
+    d, los = _ranges(anchor_p, target_p, slab, model)
+    assert np.all(los != blocked)
+    return d
+
+
+class TestNoiseDraws:
     def test_noiseless_exact(self):
         rng = np.random.default_rng(0)
-        assert sample_range(120.0, True, NOISELESS, rng) == 120.0
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            sample_range(-1.0, True, NOISELESS, np.random.default_rng(0))
+        anchor_p = rng.uniform(-100, 100, (50, 3)) + [0.0, 0.0, 300.0]
+        target_p = rng.uniform(-100, 100, (50, 3))
+        d, _ = _ranges(anchor_p, target_p, [], NOISELESS)
+        assert np.array_equal(d, _distances(anchor_p, target_p))
+        assert np.all(ranges_at(120.0, 10, NOISELESS, blocked=True) == 120.0)
 
     def test_std_matches_affine_model(self):
         # Monte-Carlo estimate of sigma0 + eta*d at d = 200.
-        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=0.0, seed=0)
-        rng = np.random.default_rng(42)
-        draws = np.array([sample_range(200.0, True, model, rng) for _ in range(100_000)])
-        assert abs(np.std(draws - 200.0) - 3.0) < 0.05
+        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=0.0, seed=42)
+        d = ranges_at(200.0, 100_000, model, blocked=False)
+        assert abs(np.std(d - 200.0) - 3.0) < 0.05
 
     def test_nlos_bias_mean(self):
         # Law of large numbers on the exponential bias, Gaussian part off.
-        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=5.0, seed=0)
-        rng = np.random.default_rng(43)
-        d = 120.0
-        draws = np.array([sample_range(d, False, model, rng) for _ in range(100_000)])
-        assert abs(np.mean(draws) - (d + 5.0)) < 0.1
+        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=5.0, seed=43)
+        d = ranges_at(120.0, 100_000, model, blocked=True)
+        assert abs(np.mean(d) - (120.0 + 5.0)) < 0.1
 
     def test_nlos_bias_nonnegative(self):
-        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=7.0, seed=0)
-        rng = np.random.default_rng(44)
-        draws = np.array([sample_range(50.0, False, model, rng) for _ in range(5_000)])
-        assert np.all(draws >= 50.0)
+        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=7.0, seed=44)
+        d = ranges_at(50.0, 5_000, model, blocked=True)
+        assert np.all(d >= 50.0)
 
 
 def circle_60():
@@ -276,61 +282,17 @@ def test_array_ranges_match_reference(case):
     assert_matches_reference(*case)
 
 
-class TestMatrices:
-    def test_exact_partition(self, static_series):
-        spec = CircularTrajectory(
-            center=Position3(0, 0, 100), radius=50, angular_speed=2 * math.pi / 60
-        )
-        anchor = sample_trajectory(spec, 0.0, 1.0, 180)
-        meas = collect_measurements(anchor, static_series(anchor.t, Position3(10, 0, 0)), [], NOISELESS)
-        mats = build_measurement_matrix(meas, spec)
-        assert [m.rows.shape for m in mats] == [(60, 4)] * 3
-        assert [m.revolution for m in mats] == [0, 1, 2]
-
-    def test_truncates_partial_revolution(self, static_series):
-        spec = CircularTrajectory(
-            center=Position3(0, 0, 100), radius=50, angular_speed=2 * math.pi / 60
-        )
-        anchor = sample_trajectory(spec, 0.0, 1.0, 150)
-        meas = collect_measurements(anchor, static_series(anchor.t, Position3(10, 0, 0)), [], NOISELESS)
-        mats = build_measurement_matrix(meas, spec)
-        assert len(mats) == 2
-
-    def test_rejects_linear_spec(self, static_series):
-        from pseudolat.geometry import LinearTrajectory
-
-        spec = LinearTrajectory(start=Position3(0, 0, 100), velocity=Position3(10, 0, 0))
-        anchor = sample_trajectory(spec, 0.0, 1.0, 10)
-        meas = collect_measurements(anchor, static_series(anchor.t, Position3(5, 5, 0)), [], NOISELESS)
-        with pytest.raises(ValueError):
-            build_measurement_matrix(meas, spec)
-
-    def test_nlos_rows_positively_biased(self, static_series):
-        # The blocked run shows up as an elevated block of measured ranges
-        # relative to a noiseless reference collection.
-        spec, anchor = circle_60()
-        target = Position3(60, 0, 0)
-        wall = box((0, -10, 0), (10, 10, 70))
-        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=8.0, seed=5)
-        noisy = collect_measurements(anchor, static_series(anchor.t, target), [wall], model)
-        clean = collect_measurements(anchor, static_series(anchor.t, target), [], NOISELESS)
-        mats = build_measurement_matrix(noisy, spec, labels=target)
-        ref = build_measurement_matrix(clean, spec)
-        m, r = mats[0], ref[0]
-        nlos_rows = np.nonzero(~m.los)[0]
-        assert nlos_rows.size > 0
-        assert np.all(m.rows[nlos_rows, 3] >= r.rows[nlos_rows, 3])
-        los_rows = np.nonzero(m.los)[0]
-        assert np.allclose(m.rows[los_rows, 3], r.rows[los_rows, 3])
-
-
 class TestExport:
     def _matrices(self, static_series):
-        spec, anchor = circle_60()
+        _, anchor = circle_60()
         target = Position3(17.25, -3.5, 0.0)
         model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=11)
-        meas = collect_measurements(anchor, static_series(anchor.t, target), [], model)
-        return build_measurement_matrix(meas, spec, labels=target)
+        d, los = _ranges(anchor.p, static_series(anchor.t, target).p, [], model)
+        rows = np.column_stack([anchor.p, d])
+        return [
+            MeasurementMatrix(rows=rows[:30], los=los[:30], revolution=0, label=target),
+            MeasurementMatrix(rows=rows[30:], los=los[30:], revolution=1),
+        ]
 
     def test_file_shape(self, tmp_path, static_series):
         mats = self._matrices(static_series)
@@ -339,6 +301,7 @@ class TestExport:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "rev,row,x,y,z,d,los,label_x,label_y,label_z"
         assert len(lines) == 1 + 60
+        assert lines[31].startswith("1,0,") and lines[31].endswith(",nan,nan,nan")
 
     def test_round_trip_bit_exact(self, tmp_path, static_series):
         mats = self._matrices(static_series)
