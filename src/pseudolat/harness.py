@@ -13,8 +13,8 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -449,21 +449,65 @@ def parse_crlb_config(raw: dict):
 # Execution
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PSEUDOLAT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise RuntimeError(f"PSEUDOLAT_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+def _worker_count(n_tasks: int) -> int:
+    """Threads for ``n_tasks`` tasks: ``PSEUDOLAT_THREADS`` if set, else the
+    usable cores, and never more than there are tasks."""
+    raw = os.environ.get("PSEUDOLAT_THREADS")
+    if raw is None:
+        n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    else:
+        try:
+            n = int(raw)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise RuntimeError(f"PSEUDOLAT_THREADS must be a positive integer, got {raw!r}")
+    return max(1, min(n, n_tasks))
 
 
 def _map_indexed(fn, n: int) -> list:
-    workers = _worker_count()
-    if workers <= 1 or n <= 1:
+    """``[fn(0), ..., fn(n - 1)]``, with the calling thread and up to W - 1
+    helper threads taking the next index in turn.
+
+    Results are stored by index, so their order never depends on the
+    schedule. If calls fail, no new index is taken and the failure of the
+    lowest index is raised: every lower index has already been taken, so it
+    is the exception a serial loop would raise.
+    """
+    workers = _worker_count(n)
+    if workers == 1:
         return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n)))
+    results = [None] * n
+    failures: dict = {}
+    lock = threading.Lock()
+    next_index = 0
+
+    def work():
+        nonlocal next_index
+        while True:
+            with lock:
+                i = next_index
+                if i >= n or failures:
+                    return
+                next_index += 1
+            try:
+                results[i] = fn(i)
+            except BaseException as e:  # re-raised in the calling thread
+                with lock:
+                    failures[i] = e
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _derived_seed(*parts: int) -> int:
@@ -516,10 +560,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     All runs advance through each revolution together: every run ranges the
     target along its own path with its own (base_seed, run, revolution)
     seed, all runs are solved in one batched call, and under a relocation
-    policy each run then re-centres its circle.
+    policy each run then re-centres its circle. Waveform-backed ranging
+    spreads the runs over threads (``_map_indexed``); statistical ranging
+    and the solves stay in the calling thread, where threads do not pay.
     """
     start = time.perf_counter()
     states = [_RunState(cfg.trajectory) for _ in range(cfg.runs)]
+    waveform_backed = isinstance(cfg.noise, WaveformRanging)
+    if waveform_backed:
+        make_pilot(cfg.noise.waveform)  # warm the pilot cache before any thread fan-out
     for rev in range(cfg.n_revolutions):
 
         def measure(run: int):
@@ -530,7 +579,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             t_mid = 0.5 * float(anchor_path.t[0] + anchor_path.t[-1])
             return t_mid, anchor_path.p, d
 
-        ranged = _map_indexed(measure, cfg.runs)
+        if waveform_backed:
+            ranged = _map_indexed(measure, cfg.runs)
+        else:
+            ranged = [measure(run) for run in range(cfg.runs)]
         anchors = np.stack([anchor_p for _, anchor_p, _ in ranged])
         d = np.stack([d_run for _, _, d_run in ranged])
         sols = pseudo_multilaterate_static_batch(anchors, d, cfg.solver)

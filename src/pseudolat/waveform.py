@@ -165,7 +165,8 @@ def isfft(x_dd: np.ndarray) -> np.ndarray:
 
 def sfft(x_tf: np.ndarray) -> np.ndarray:
     """Time-frequency grid (N, M) -> delay-Doppler grid (N, M), unitary."""
-    return np.fft.fft(np.fft.ifft(x_tf, axis=0, norm="ortho"), axis=1, norm="ortho")
+    x_dd = np.fft.ifft(x_tf, axis=0, norm="ortho")
+    return np.fft.fft(x_dd, axis=1, norm="ortho", out=x_dd)
 
 
 @functools.lru_cache(maxsize=32)
@@ -267,12 +268,13 @@ def apply_channel(
     total = _next_fast_len(x.size + int(np.ceil(max(delays_samp))) + 16)
     n_pos = (total - 1) // 2 + 1  # bins of fftfreq's non-negative half
     y = np.zeros(total, dtype=np.complex128)
+    buf = np.empty(total, dtype=np.complex128)  # one path at a time, reused
     spectrum = None
     for p, a in zip(paths.paths, delays_samp):
         ai = int(round(a))
         if abs(a - ai) < 1e-9:
-            shifted = np.zeros(total, dtype=np.complex128)
-            shifted[ai : ai + x.size] = x
+            buf.fill(0.0)
+            buf[ai : ai + x.size] = x
         else:
             if spectrum is None:
                 if signal is make_pilot(cfg):
@@ -281,14 +283,15 @@ def apply_channel(
                     spectrum = np.fft.fft(x, total)
             # bin k carries frequency k fs / total below n_pos, (k - total) fs / total from it
             w = -2.0 * np.pi * a / total
-            ramp = np.concatenate(
-                [_phase_ramp(0.0, w, n_pos), _phase_ramp(w * (n_pos - total), w, total - n_pos)]
-            )
-            ramp *= spectrum
-            shifted = np.fft.ifft(ramp)
+            buf[:n_pos] = _phase_ramp(0.0, w, n_pos)
+            buf[n_pos:] = _phase_ramp(w * (n_pos - total), w, total - n_pos)
+            buf *= spectrum
+            np.fft.ifft(buf, out=buf)
         if p.doppler != 0.0:
-            shifted *= _phase_ramp(0.0, 2.0 * np.pi * p.doppler / fs, total)
-        y += p.gain * shifted
+            buf *= _phase_ramp(0.0, 2.0 * np.pi * p.doppler / fs, total)
+        # gain on the left: buf * gain rounds differently in the last bit
+        np.multiply(p.gain, buf, out=buf)
+        y += buf
     if math.isfinite(paths.snr_db):
         power = float(np.mean(np.abs(y) ** 2))
         if power > 0:
@@ -308,15 +311,16 @@ def _delay_profile(received: np.ndarray, cfg: WaveformConfig):
     magnitudes used when fitting the parabola around bin l.
     """
     n, m = cfg.n_subcarriers, cfg.n_symbols
-    bins = _subcarrier_bins(n, cfg.fft_size)
     hop = cfg.symbol_samples
     cp = cfg.cp_len
     if received.size < cfg.frame_samples:
         raise ValueError("received signal is shorter than one frame")
 
-    idx = (hop * np.arange(m)[:, None] + cp + np.arange(cfg.fft_size)[None, :])
-    segs = received[idx]  # (m, fft_size)
-    y_tf = np.fft.fft(segs, axis=1, norm="ortho")[:, bins].T
+    segs = received[: m * hop].reshape(m, hop)[:, cp:]  # (m, fft_size) view
+    y_tf = np.fft.fft(segs, axis=1, norm="ortho")
+    if cfg.oversample != 1:  # otherwise bins is the identity
+        y_tf = y_tf[:, _subcarrier_bins(n, cfg.fft_size)]
+    y_tf = y_tf.T
 
     if cfg.scheme == "ofdm":
         # Static-channel estimator: per-resource estimates averaged

@@ -346,3 +346,71 @@ def test_compare_waveforms_deterministic(tmp_path):
     assert main(["--out-dir", str(out2), "--quiet", "compare-waveforms", str(path)]) == 0
     for name in ("waveform_errors.csv", "waveform_hist.csv", "waveform_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.fixture
+def waveform_configs(tmp_path):
+    """A compare config and a waveform-backed scenario, small enough for CI."""
+    compare = {
+        "version": 1,
+        "spacings_hz": [30000.0, 120000.0],
+        "waveform": {"n_subcarriers": 64, "n_symbols": 8},
+        "ensemble": {"snr_db": 0.0, "d_min_m": 60.0, "d_max_m": 120.0},
+        "trials": 13,
+        "base_seed": 3,
+    }
+    scenario = {
+        "version": 1,
+        "name": "cli_waveform",
+        "trajectory": {
+            "kind": "circular",
+            "center": [0.0, 0.0, 70.0],
+            "radius": 50.0,
+            "angular_speed": 2 * math.pi / 60,
+            "phase0": 0.0,
+        },
+        "dt": 3.0,
+        "target": {"kind": "static", "position": [60.0, 0.0, 0.0]},
+        "obstacles": [{"min": [0.0, -10.0, 0.0], "max": [10.0, 10.0, 70.0]}],
+        "noise": {
+            "kind": "waveform",
+            "waveform": {"scheme": "otfs", "n_subcarriers": 64, "n_symbols": 8},
+            "ensemble": {"snr_db": 10.0},
+        },
+        "n_revolutions": 2,
+        "runs": 5,
+        "base_seed": 8,
+        "bounds": [[-150.0, 150.0], [-150.0, 150.0], [0.0, 10.0]],
+    }
+    paths = {}
+    for name, cfg in (("compare", compare), ("scenario", scenario)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(cfg))
+    return paths
+
+
+def test_thread_count_does_not_change_artifacts(tmp_path, monkeypatch, waveform_configs):
+    def artifacts(threads):
+        if threads is None:
+            monkeypatch.delenv("PSEUDOLAT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PSEUDOLAT_THREADS", threads)
+        out = tmp_path / f"threads_{threads}"
+        common = ["--quiet", "--out-dir", str(out)]
+        assert main(common + ["compare-waveforms", str(waveform_configs["compare"])]) == 0
+        assert main(common + ["simulate", str(waveform_configs["scenario"])]) == 0
+        assert main(common + ["export-dataset", str(waveform_configs["scenario"])]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    serial = artifacts("1")
+    assert {"waveform_errors.csv", "waveform_summary.json", "report.csv", "summary.json", "dataset.csv"} <= set(serial)
+    for threads in ("2", "3", None):
+        assert artifacts(threads) == serial
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_non_positive_thread_count_exits_3(tmp_path, capsys, monkeypatch, waveform_configs, raw):
+    monkeypatch.setenv("PSEUDOLAT_THREADS", raw)
+    out = str(tmp_path / "out")
+    assert main(["--quiet", "--out-dir", out, "compare-waveforms", str(waveform_configs["compare"])]) == 3
+    assert f"error: PSEUDOLAT_THREADS must be a positive integer, got {raw!r}" in capsys.readouterr().err

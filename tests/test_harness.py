@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from pseudolat import harness
 from pseudolat.harness import (
     ConfigError,
     HistogramSpec,
@@ -161,11 +166,18 @@ class TestRunScenario:
         assert [r.err_m for r in a.records] == [r.err_m for r in b.records]
 
     def test_threads_do_not_change_results(self, monkeypatch):
-        cfg = parse_scenario_config(base_scenario(runs=6))
+        # Waveform-backed runs are the ones that fan out.
+        noise = {
+            "kind": "waveform",
+            "waveform": {"scheme": "otfs", "n_subcarriers": 64, "n_symbols": 8},
+            "ensemble": {"snr_db": 20.0, "n_paths_min": 1, "n_paths_max": 3},
+        }
+        cfg = parse_scenario_config(base_scenario(runs=6, noise=noise, dt=6.0))
+        monkeypatch.setenv("PSEUDOLAT_THREADS", "1")
         seq = run_scenario(cfg)
         monkeypatch.setenv("PSEUDOLAT_THREADS", "3")
         par = run_scenario(cfg)
-        assert [r.err_m for r in seq.records] == [r.err_m for r in par.records]
+        assert seq.records == par.records
 
     def test_runs_do_not_depend_on_run_count(self):
         # A revolution's runs are solved in one batch; a run's record must
@@ -403,3 +415,106 @@ class TestCompare:
         assert ofdm["variance_m2"] is None
         assert (otfs["trials"], otfs["censored"], otfs["mean_error_m"]) == (2, 1, 1.5)
         assert payload["otfs_over_ofdm_mean_ratio"] == {"30000.0": None}
+
+
+class TestWorkers:
+    def test_default_is_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("PSEUDOLAT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert harness._worker_count(100) == 3
+
+    @pytest.mark.parametrize("raw, n_tasks, want", [("1", 50, 1), ("4", 50, 4), ("4", 3, 3), ("4", 0, 1)])
+    def test_variable_overrides_and_tasks_cap(self, monkeypatch, raw, n_tasks, want):
+        monkeypatch.setenv("PSEUDOLAT_THREADS", raw)
+        assert harness._worker_count(n_tasks) == want
+
+    def test_huge_value_capped_by_tasks(self, monkeypatch):
+        # Resolving the count starts no thread, so this runs nothing.
+        monkeypatch.setenv("PSEUDOLAT_THREADS", str(10**9))
+        assert harness._worker_count(6) == 6
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "two", "", "1.5"])
+    def test_rejects_anything_but_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("PSEUDOLAT_THREADS", raw)
+        with pytest.raises(RuntimeError, match="PSEUDOLAT_THREADS must be a positive integer"):
+            harness._worker_count(10)
+
+    def _map_in_time(self, fn, n, timeout=60.0):
+        out = {}
+
+        def call():
+            try:
+                out["result"] = harness._map_indexed(fn, n)
+            except BaseException as e:  # handed to the test thread
+                out["error"] = e
+
+        t = threading.Thread(target=call)
+        t.start()
+        t.join(timeout)
+        assert not t.is_alive()
+        return out
+
+    def test_calling_thread_shares_the_work(self, monkeypatch):
+        monkeypatch.setenv("PSEUDOLAT_THREADS", "3")
+        caller = threading.current_thread()
+        seen = []
+
+        def fn(i):
+            seen.append(threading.current_thread())
+            time.sleep(0.002)
+            return i * i
+
+        assert harness._map_indexed(fn, 30) == [i * i for i in range(30)]
+        assert caller in seen
+        assert len(set(seen)) == 3
+
+    def test_never_more_threads_than_tasks(self, monkeypatch):
+        monkeypatch.setenv("PSEUDOLAT_THREADS", "8")
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(harness.threading, "Thread", CountingThread)
+        assert harness._map_indexed(lambda i: i, 2) == [0, 1]
+        assert len(started) == 1  # the calling thread runs the other task
+        assert harness._map_indexed(lambda i: i, 1) == [0]
+        assert len(started) == 1
+
+    def test_lowest_failing_index_is_raised(self, monkeypatch):
+        monkeypatch.setenv("PSEUDOLAT_THREADS", "3")
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            time.sleep(0.001)
+            if i in (5, 7):
+                raise ValueError(f"task {i}")
+            return i
+
+        before = threading.active_count()
+        out = self._map_in_time(fn, 40)
+        assert isinstance(out.get("error"), ValueError) and str(out["error"]) == "task 5"
+        assert set(range(6)) <= set(calls) and len(calls) < 40
+        assert threading.active_count() == before
+
+    def test_each_index_runs_once_under_contention(self, monkeypatch):
+        # More threads than cores and a tiny switch interval, so a lost
+        # update of the shared next index would repeat or skip a task.
+        monkeypatch.setenv("PSEUDOLAT_THREADS", "8")
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            return sum(range(i % 50)) + i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = self._map_in_time(fn, 3000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out["result"] == [sum(range(i % 50)) + i for i in range(3000)]
+        assert sorted(calls) == list(range(3000))

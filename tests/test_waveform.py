@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from waveform_reference import apply_channel as reference_channel
+from waveform_reference import exact_channel, exact_delay_profile
 
 from pseudolat.waveform import (
     C_LIGHT,
@@ -12,6 +15,7 @@ from pseudolat.waveform import (
     PathSet,
     ToaEstimate,
     WaveformConfig,
+    _delay_profile,
     _phase_ramp,
     apply_channel,
     estimate_toa,
@@ -223,6 +227,69 @@ class TestChannelMatchesReference:
         got = apply_channel(copy, paths, cfg, np.random.default_rng(4))
         assert np.array_equal(got, apply_channel(pilot, paths, cfg, np.random.default_rng(4)))
         assert _rel_err(got, reference_channel(copy, paths, cfg, np.random.default_rng(4))) <= 1e-12
+
+
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _assert_lean_matches_exact(signal, paths, cfg, seed):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = apply_channel(signal, paths, cfg, rng)
+    _assert_bits_equal(got, exact_channel(signal, paths, cfg, rng_ref))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    for lean, fresh in zip(_delay_profile(got, cfg), exact_delay_profile(got, cfg)):
+        _assert_bits_equal(lean, fresh)
+
+
+# fig5's ~34k-sample frames, the 8640-sample stripe frame, and oversampled
+# frames, where the receiver's subcarrier bins are not the identity.
+EXACT_NUMEROLOGIES = dict(
+    NUMEROLOGIES,
+    ofdm_os2=WaveformConfig(scheme="ofdm", n_symbols=16, oversample=2),
+    otfs_os2=WaveformConfig(scheme="otfs", n_symbols=16, oversample=2),
+)
+
+
+class TestLeanMatchesExact:
+    """The reused path buffer, in-place transforms and symbol views against
+    fresh arrays per step: the same samples to the last bit."""
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize("numerology", sorted(EXACT_NUMEROLOGIES))
+    def test_fixed_channels(self, numerology, channel):
+        cfg = EXACT_NUMEROLOGIES[numerology]
+        _assert_lean_matches_exact(make_pilot(cfg), CHANNELS[channel](cfg), cfg, 3)
+
+    def test_computed_spectrum(self):
+        cfg = EXACT_NUMEROLOGIES["ofdm_os2"]
+        _assert_lean_matches_exact(make_pilot(cfg).copy(), CHANNELS["mixed"](cfg), cfg, 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_drawn_channels(self, data):
+        cfg = WaveformConfig(
+            scheme=data.draw(st.sampled_from(["ofdm", "otfs"])),
+            n_subcarriers=data.draw(st.sampled_from([16, 64])),
+            n_symbols=data.draw(st.integers(1, 12)),
+            cp_fraction=data.draw(st.sampled_from([0.0, 1.0 / 16.0, 0.25])),
+            oversample=data.draw(st.integers(1, 3)),
+        )
+        n_paths = data.draw(st.integers(1, 5))
+        delays = [
+            data.draw(st.one_of(st.integers(0, cfg.fft_size - 1), st.floats(0.0, cfg.fft_size - 1.0)))
+            for _ in range(n_paths)
+        ]
+        dopplers = [data.draw(st.sampled_from([0.0, F_MAX, -3e3, 1e5])) for _ in range(n_paths)]
+        gains = [complex(data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2))) for _ in range(n_paths)]
+        gains[0] = 1 + 0.5j
+        snr_db = data.draw(st.sampled_from([math.inf, 20.0, -5.0]))
+        paths = PathSet(
+            tuple(Path(delay=a / cfg.sample_rate, doppler=nu, gain=g) for a, nu, g in zip(delays, dopplers, gains)),
+            snr_db=snr_db,
+        )
+        _assert_lean_matches_exact(make_pilot(cfg), paths, cfg, data.draw(st.integers(0, 2**32 - 1)))
 
 
 @pytest.mark.parametrize("cfg", [OFDM, OTFS], ids=["ofdm", "otfs"])

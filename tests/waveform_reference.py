@@ -1,10 +1,15 @@
-"""Reference channel synthesis, used only by the tests.
+"""Reference channel synthesis and receiver front end, used only by the tests.
 
-This is `pseudolat.waveform.apply_channel` as it was before its phase ramps
-were built from short tables: every path evaluates its delay ramp and its
-Doppler rotation as full-length complex exponentials, and the AWGN is drawn
-as two separate normal vectors. The waveform tests compare the library's
-channel with it.
+`apply_channel` is `pseudolat.waveform.apply_channel` as it was before its
+phase ramps were built from short tables: every path evaluates its delay
+ramp and its Doppler rotation as full-length complex exponentials, and the
+AWGN is drawn as two separate normal vectors. The waveform tests compare
+the library's channel with it within 1e-12.
+
+`exact_channel` and `exact_delay_profile` are the library's channel and
+delay profile as they were before they reused one path buffer, transformed
+in place and sliced symbols as views: a fresh array per path and per step.
+The library must match them bit for bit.
 """
 
 import functools
@@ -12,7 +17,16 @@ import math
 
 import numpy as np
 
-from pseudolat.waveform import PathSet, WaveformConfig, _next_fast_len, _pilot_spectrum, make_pilot
+from pseudolat.waveform import (
+    PathSet,
+    WaveformConfig,
+    _next_fast_len,
+    _phase_ramp,
+    _pilot_spectrum,
+    _qpsk_grid,
+    _subcarrier_bins,
+    make_pilot,
+)
 
 
 @functools.lru_cache(maxsize=64)
@@ -66,3 +80,72 @@ def apply_channel(
             scale = math.sqrt(sigma2 / 2.0)
             y = y + scale * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
     return y
+
+
+def exact_channel(
+    signal: np.ndarray,
+    paths: PathSet,
+    cfg: WaveformConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    x = np.asarray(signal, dtype=np.complex128)
+    fs = cfg.sample_rate
+    delays_samp = [p.delay * fs for p in paths.paths]
+    if max(delays_samp) >= cfg.fft_size:
+        raise ValueError("path delay exceeds one symbol duration")
+    total = _next_fast_len(x.size + int(np.ceil(max(delays_samp))) + 16)
+    n_pos = (total - 1) // 2 + 1
+    y = np.zeros(total, dtype=np.complex128)
+    spectrum = None
+    for p, a in zip(paths.paths, delays_samp):
+        ai = int(round(a))
+        if abs(a - ai) < 1e-9:
+            shifted = np.zeros(total, dtype=np.complex128)
+            shifted[ai : ai + x.size] = x
+        else:
+            if spectrum is None:
+                if signal is make_pilot(cfg):
+                    spectrum = _pilot_spectrum(cfg, total)
+                else:
+                    spectrum = np.fft.fft(x, total)
+            w = -2.0 * np.pi * a / total
+            ramp = np.concatenate(
+                [_phase_ramp(0.0, w, n_pos), _phase_ramp(w * (n_pos - total), w, total - n_pos)]
+            )
+            ramp *= spectrum
+            shifted = np.fft.ifft(ramp)
+        if p.doppler != 0.0:
+            shifted *= _phase_ramp(0.0, 2.0 * np.pi * p.doppler / fs, total)
+        y += p.gain * shifted
+    if math.isfinite(paths.snr_db):
+        power = float(np.mean(np.abs(y) ** 2))
+        if power > 0:
+            sigma2 = power * 10.0 ** (-paths.snr_db / 10.0)
+            z = rng.standard_normal(2 * total)
+            z *= math.sqrt(sigma2 / 2.0)
+            y.real += z[:total]
+            y.imag += z[total:]
+    return y
+
+
+def exact_delay_profile(received: np.ndarray, cfg: WaveformConfig):
+    n, m = cfg.n_subcarriers, cfg.n_symbols
+    bins = _subcarrier_bins(n, cfg.fft_size)
+    hop = cfg.symbol_samples
+    cp = cfg.cp_len
+    if received.size < cfg.frame_samples:
+        raise ValueError("received signal is shorter than one frame")
+
+    idx = hop * np.arange(m)[:, None] + cp + np.arange(cfg.fft_size)[None, :]
+    segs = received[idx]
+    y_tf = np.fft.fft(segs, axis=1, norm="ortho")[:, bins].T
+
+    if cfg.scheme == "ofdm":
+        h_freq = np.mean(y_tf * np.conj(_qpsk_grid(n, m)), axis=1)
+        profile = np.abs(np.fft.ifft(h_freq, norm="ortho"))
+        return profile, profile
+    y_dd = np.fft.fft(np.fft.ifft(y_tf, axis=0, norm="ortho"), axis=1, norm="ortho")
+    mag = np.abs(y_dd)
+    k_star = np.argmax(mag, axis=1)
+    profile = mag[np.arange(n), k_star]
+    return profile, mag
