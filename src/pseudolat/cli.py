@@ -53,18 +53,23 @@ def _load_json(path: str) -> dict:
     return raw
 
 
+def _load_config(args, runs_key: str) -> dict:
+    """The config file with ``--seed`` and ``--runs`` (as ``runs_key``) applied."""
+    raw = _load_json(args.config)
+    if args.seed is not None:
+        raw["base_seed"] = args.seed
+    if args.runs is not None:
+        raw[runs_key] = args.runs
+    return raw
+
+
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
 
 
 def _cmd_simulate(args) -> int:
-    raw = _load_json(args.config)
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
-    if args.runs is not None:
-        raw["runs"] = args.runs
-    cfg = harness.parse_scenario_config(raw)
+    cfg = harness.parse_scenario_config(_load_config(args, "runs"))
     report = harness.run_scenario(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.csv")
@@ -83,12 +88,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    raw = _load_json(args.config)
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
-    if args.runs is not None:
-        raw["trials"] = args.runs
-    cfg = harness.parse_compare_config(raw)
+    cfg = harness.parse_compare_config(_load_config(args, "trials"))
     cmp = harness.compare_waveforms(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     errors_path = os.path.join(args.out_dir, "waveform_errors.csv")
@@ -116,12 +116,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    raw = _load_json(args.config)
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
-    if args.runs is not None:
-        raw["runs"] = args.runs
-    cfg = harness.parse_scenario_config(raw)
+    cfg = harness.parse_scenario_config(_load_config(args, "runs"))
     out = args.out or os.path.join(args.out_dir, "dataset.csv")
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     n = harness.export_scenario_dataset(cfg, out)

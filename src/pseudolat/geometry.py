@@ -26,7 +26,6 @@ __all__ = [
     "revolution_period",
     "mirror_point",
     "linear_mirror",
-    "constant_series",
 ]
 
 
@@ -180,9 +179,3 @@ def linear_mirror(spec: LinearTrajectory, target: Position3) -> Position3:
     v = spec.velocity.as_array()
     v = v / np.linalg.norm(v)
     return mirror_point(spec.start, Position3.from_array(v), target)
-
-
-def constant_series(t: np.ndarray, p: Position3) -> WaypointSeries:
-    """Series holding the same position at every time step."""
-    t = np.asarray(t, dtype=np.float64)
-    return WaypointSeries(t, np.tile(p.as_array(), (t.size, 1)))

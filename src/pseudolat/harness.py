@@ -25,12 +25,11 @@ from .geometry import (
     Position3,
     TrajectorySpec,
     WaypointSeries,
-    constant_series,
     distance,
     revolution_period,
     sample_trajectory,
 )
-from .localization import SolveOptions, pseudo_multilaterate_static_batch
+from .localization import DEFAULT_BOUNDS, SolveOptions, pseudo_multilaterate_static_batch
 from .ranging import (
     MeasurementMatrix,
     NoiseModel,
@@ -91,8 +90,8 @@ class ConfigError(ValueError):
 class StaticTarget:
     position: Position3
 
-    def series_at(self, t: np.ndarray) -> WaypointSeries:
-        return constant_series(t, self.position)
+    def path_at(self, t: np.ndarray) -> np.ndarray:
+        return np.tile(self.position.as_array(), (t.size, 1))
 
     def position_at(self, t: float) -> Position3:
         return self.position
@@ -103,9 +102,8 @@ class LinearTarget:
     start: Position3
     velocity: Position3
 
-    def series_at(self, t: np.ndarray) -> WaypointSeries:
-        p = self.start.as_array()[None, :] + t[:, None] * self.velocity.as_array()[None, :]
-        return WaypointSeries(t, p)
+    def path_at(self, t: np.ndarray) -> np.ndarray:
+        return self.start.as_array()[None, :] + t[:, None] * self.velocity.as_array()[None, :]
 
     def position_at(self, t: float) -> Position3:
         return Position3.from_array(self.start.as_array() + t * self.velocity.as_array())
@@ -117,8 +115,9 @@ class HistogramSpec:
     max_m: float = 100.0
 
     def __post_init__(self):
-        if self.bin_width_m <= 0 or self.max_m <= 0:
-            raise ValueError("histogram bin width and range must be > 0")
+        # The ratio is checked before ``edges`` rounds it, so inf fails too.
+        if not (self.bin_width_m > 0 and 1 <= self.max_m / self.bin_width_m <= 100_000):
+            raise ValueError("histogram needs bin_width_m > 0 and max_m / bin_width_m in [1, 100000]")
 
     def edges(self) -> np.ndarray:
         """Bin edges 0, w, 2w, ... up to ``max_m`` rounded to whole bins."""
@@ -157,10 +156,10 @@ class ScenarioConfig:
     base_seed: int = 0
     histogram: HistogramSpec = HistogramSpec()
 
-    def samples_per_rev(self, spec: TrajectorySpec) -> int:
+    def samples_per_rev(self) -> int:
         if self.samples_per_revolution is not None:
             return self.samples_per_revolution
-        period = revolution_period(spec)
+        period = revolution_period(self.trajectory)
         s = int(round(period / self.dt))
         if s < 3:
             raise ConfigError("dt too coarse: fewer than 3 samples per revolution")
@@ -315,8 +314,6 @@ def _kinds(table: dict, **options):
 
 
 _WAVEFORM_KEYS = {"subcarrier_spacing": "subcarrier_spacing_hz", "carrier_freq": "carrier_freq_hz"}
-# The ambiguity_* thresholds of SolveOptions are not config fields.
-_SOLVER_KEYS = ("max_iter", "grad_tol", "step_tol", "multistart_grid", "damping0")
 
 # Converter per field annotation. Annotations are strings here and in every
 # module a config dataclass comes from (``from __future__ import annotations``).
@@ -362,8 +359,9 @@ def parse_scenario_config(raw: dict) -> ScenarioConfig:
     d = _top_level(
         raw, ("obstacles", "relocation", "samples_per_revolution", "bounds", "solver", "histogram")
     )
-    bounds = {"bounds": _as_bounds(d.pop("bounds"), "bounds")} if "bounds" in d else {}
-    solver = _build(SolveOptions, d.pop("solver", {}), "solver", fixed=bounds, keys=_SOLVER_KEYS)
+    # The search region is set at the top level only.
+    bounds = _as_bounds(d.pop("bounds"), "bounds") if "bounds" in d else DEFAULT_BOUNDS
+    solver = _build(SolveOptions, d.pop("solver", {}), "solver", fixed={"bounds": bounds})
     cfg = _build(ScenarioConfig, d, "", fixed={"solver": solver})
     if cfg.dt <= 0:
         raise ConfigError("field dt must be > 0")
@@ -442,6 +440,9 @@ def parse_crlb_config(raw: dict):
         raise ConfigError("field sigma.eta must be >= 0")
     if sigma0 == 0 and eta == 0:
         raise ConfigError("field sigma must give a positive std")
+    for i, anchor in enumerate(cfg.anchors):
+        if anchor == cfg.target:
+            raise ConfigError(f"field anchors[{i}] coincides with the target")
     return list(cfg.anchors), cfg.target, (lambda dist: sigma0 + eta * dist)
 
 
@@ -515,14 +516,14 @@ def _derived_seed(*parts: int) -> int:
 
 
 def _collect_waveform_backed(
-    anchor_path: WaypointSeries,
-    target_path: WaypointSeries,
+    anchor_p: np.ndarray,
+    target_p: np.ndarray,
     obstacles,
     backend: WaveformRanging,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    los = _line_of_sight(anchor_path.p, target_path.p, obstacles)
-    d_true = _distances(anchor_path.p, target_path.p)
+    los = _line_of_sight(anchor_p, target_p, obstacles)
+    d_true = _distances(anchor_p, target_p)
     rng = np.random.default_rng(seed)
     cfg = backend.waveform
     pilot = make_pilot(cfg)
@@ -534,101 +535,98 @@ def _collect_waveform_backed(
     return d, los
 
 
-def _collect(cfg: ScenarioConfig, anchor_path: WaypointSeries, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Measured ranges (S,) and LoS flags (S,) along ``anchor_path``."""
-    target_path = cfg.target.series_at(anchor_path.t)
+def _collect(
+    cfg: ScenarioConfig, anchor_p: np.ndarray, target_p: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measured ranges (S,) and LoS flags (S,) between (S, 3) anchor and target paths."""
     if isinstance(cfg.noise, NoiseModel):
         model = dataclasses.replace(cfg.noise, seed=seed)
-        return _ranges(anchor_path.p, target_path.p, cfg.obstacles, model)
-    return _collect_waveform_backed(anchor_path, target_path, cfg.obstacles, cfg.noise, seed)
-
-
-@dataclass
-class _RunState:
-    """One Monte-Carlo run between revolutions."""
-
-    spec: TrajectorySpec
-    t_cursor: float = 0.0
-    hist_t: list = dataclasses.field(default_factory=list)
-    hist_p: list = dataclasses.field(default_factory=list)
-    rev_errors: list = dataclasses.field(default_factory=list)
+        return _ranges(anchor_p, target_p, cfg.obstacles, model)
+    return _collect_waveform_backed(anchor_p, target_p, cfg.obstacles, cfg.noise, seed)
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """Execute all Monte-Carlo runs of a scenario and aggregate metrics.
 
-    All runs advance through each revolution together: every run ranges the
-    target along its own path with its own (base_seed, run, revolution)
-    seed, all runs are solved in one batched call, and under a relocation
-    policy each run then re-centres its circle. Waveform-backed ranging
-    spreads the runs over threads (``_map_indexed``); statistical ranging
-    and the solves stay in the calling thread, where threads do not pay.
+    All runs share one timeline, because relocation keeps the angular
+    speed: the target path and its midpoint truth are computed once per
+    revolution. Every run ranges along its own circle with its own
+    (base_seed, run, revolution) seed, all runs are solved in one batched
+    call, and a relocation policy then re-centres each run's circle.
+    Waveform-backed ranging spreads the runs over threads (``_map_indexed``);
+    statistical ranging and the solves stay in the calling thread, where
+    threads do not pay.
     """
     start = time.perf_counter()
-    states = [_RunState(cfg.trajectory) for _ in range(cfg.runs)]
+    n_samples = cfg.samples_per_rev()
+    specs = [cfg.trajectory] * cfg.runs
+    t_mid = np.empty(cfg.n_revolutions)
+    est = np.empty((cfg.runs, cfg.n_revolutions, 3))
+    errors = np.empty((cfg.runs, cfg.n_revolutions))
     waveform_backed = isinstance(cfg.noise, WaveformRanging)
     if waveform_backed:
         make_pilot(cfg.noise.waveform)  # warm the pilot cache before any thread fan-out
+    t0 = 0.0
     for rev in range(cfg.n_revolutions):
+        anchor_paths = [sample_trajectory(spec, t0, cfg.dt, n_samples) for spec in specs]
+        t = anchor_paths[0].t
+        target_p = cfg.target.path_at(t)  # every run's path has the times t
 
-        def measure(run: int):
-            st = states[run]
-            n_samples = cfg.samples_per_rev(st.spec)
-            anchor_path = sample_trajectory(st.spec, st.t_cursor, cfg.dt, n_samples)
-            d, _ = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, rev))
-            t_mid = 0.5 * float(anchor_path.t[0] + anchor_path.t[-1])
-            return t_mid, anchor_path.p, d
+        def measure(run: int) -> np.ndarray:
+            seed = _derived_seed(cfg.base_seed, run, rev)
+            return _collect(cfg, anchor_paths[run].p, target_p, seed)[0]
 
         if waveform_backed:
-            ranged = _map_indexed(measure, cfg.runs)
+            d = np.stack(_map_indexed(measure, cfg.runs))
         else:
-            ranged = [measure(run) for run in range(cfg.runs)]
-        anchors = np.stack([anchor_p for _, anchor_p, _ in ranged])
-        d = np.stack([d_run for _, _, d_run in ranged])
+            d = np.stack([measure(run) for run in range(cfg.runs)])
+        anchors = np.stack([path.p for path in anchor_paths])
         sols = pseudo_multilaterate_static_batch(anchors, d, cfg.solver)
-        for st, (t_mid, anchor_p, _), sol in zip(states, ranged, sols):
-            true_mid = cfg.target.position_at(t_mid)
-            st.rev_errors.append(distance(sol.p_hat, true_mid))
-            st.hist_t.append(t_mid)
-            st.hist_p.append(sol.p_hat.as_array())
-            if cfg.relocation is not None and rev < cfg.n_revolutions - 1:
-                history = WaypointSeries(np.array(st.hist_t), np.array(st.hist_p))
-                predicted = predict_target(history, horizon=revolution_period(st.spec))
-                st.spec = relocate(st.spec, predicted, cfg.relocation)
-            st.t_cursor += anchor_p.shape[0] * cfg.dt
-    records = [
+        t_mid[rev] = 0.5 * float(t[0] + t[-1])
+        true_mid = cfg.target.position_at(t_mid[rev])
+        for run, sol in enumerate(sols):
+            est[run, rev] = sol.p_hat.as_array()
+            errors[run, rev] = distance(sol.p_hat, true_mid)
+        if cfg.relocation is not None and rev < cfg.n_revolutions - 1:
+            horizon = revolution_period(cfg.trajectory)
+            for run, spec in enumerate(specs):
+                history = WaypointSeries(t_mid[: rev + 1], est[run, : rev + 1])
+                specs[run] = relocate(spec, predict_target(history, horizon), cfg.relocation)
+        t0 += n_samples * cfg.dt
+    records = tuple(
         RunRecord(
             run=run,
-            true_pos=cfg.target.position_at(st.hist_t[-1]),
+            true_pos=true_mid,
             est=sol.p_hat,
-            err_m=st.rev_errors[-1],
+            err_m=float(errors[run, -1]),
             residual=sol.residual,
             converged=sol.converged,
             n_alternates=len(sol.alternates),
-            rev_errors=tuple(st.rev_errors),
+            rev_errors=tuple(errors[run].tolist()),
         )
-        for run, (st, sol) in enumerate(zip(states, sols))
-    ]
+        for run, sol in enumerate(sols)
+    )
     runtime = time.perf_counter() - start
     return MetricsReport(
         scenario=cfg.name,
-        records=tuple(records),
+        records=records,
         histogram=cfg.histogram,
         runtime_s=runtime,
     )
 
 
-def scenario_matrices(cfg: ScenarioConfig, run: int = 0) -> list[MeasurementMatrix]:
-    """Measurement matrices for dataset export (first run, no relocation).
+def scenario_matrices(cfg: ScenarioConfig) -> list[MeasurementMatrix]:
+    """Measurement matrices for dataset export (run 0, no relocation).
 
     One matrix per revolution, of ``samples_per_rev`` rows each, labelled
     with the true target position at that revolution's midpoint.
     """
     if not isinstance(cfg.trajectory, CircularTrajectory):
         raise ConfigError("dataset export requires a circular trajectory")
-    n_samples = cfg.samples_per_rev(cfg.trajectory)
+    n_samples = cfg.samples_per_rev()
     anchor_path = sample_trajectory(cfg.trajectory, 0.0, cfg.dt, n_samples * cfg.n_revolutions)
-    d, los = _collect(cfg, anchor_path, _derived_seed(cfg.base_seed, run, 0))
+    target_p = cfg.target.path_at(anchor_path.t)
+    d, los = _collect(cfg, anchor_path.p, target_p, _derived_seed(cfg.base_seed, 0, 0))
     rows = np.column_stack([anchor_path.p, d])
     matrices = []
     for r in range(cfg.n_revolutions):

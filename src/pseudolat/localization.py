@@ -47,6 +47,11 @@ _RANK_TOL = 1e-9
 # Scale-aware convergence: a masked gradient norm below this fraction of
 # 2 sqrt(K f) (see ``_lm``).
 _REL_GRAD_TOL = 1e-6
+# Distinct minima lie more than _AMBIGUITY_MIN_SEP m apart; one whose residual
+# is within the relative and absolute tolerances of the best is an alternate.
+_AMBIGUITY_MIN_SEP = 1.0
+_AMBIGUITY_REL_TOL = 0.01
+_AMBIGUITY_ABS_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -70,10 +75,7 @@ class SolveOptions:
     ``bounds`` is the axis-aligned search region; a degenerate axis
     (lo == hi) freezes that coordinate. ``multistart_grid`` gives the
     number of start points per axis of the fallback grid, which runs only
-    for problems the closed-form starts cannot seed or converge. Minima
-    whose residuals agree within ``ambiguity_rel_tol`` (plus a small
-    absolute floor) and that sit more than ``ambiguity_min_sep`` apart are
-    treated as ambiguous solutions.
+    for problems the closed-form starts cannot seed or converge.
     """
 
     max_iter: int = 200
@@ -82,9 +84,6 @@ class SolveOptions:
     multistart_grid: tuple[int, int, int] = (5, 5, 1)
     damping0: float = 1e-3
     bounds: Bounds = DEFAULT_BOUNDS
-    ambiguity_rel_tol: float = 0.01
-    ambiguity_abs_tol: float = 1e-9
-    ambiguity_min_sep: float = 1.0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -159,14 +158,14 @@ def residual_jacobian(candidate: Position3, ranges: Sequence[AnchorRange]):
     return r, diff / dist[:, None]
 
 
-def _cluster_minima(points: np.ndarray, residuals: np.ndarray, conv: np.ndarray, min_sep: float):
+def _cluster_minima(points: np.ndarray, residuals: np.ndarray, conv: np.ndarray):
     """Deterministic best-first clustering of solver endpoints."""
     order = np.lexsort((points[:, 2], points[:, 1], points[:, 0], residuals))
     reps: list[tuple[np.ndarray, float, bool]] = []
     for idx in order:
         p = points[idx]
         for rp, _, _ in reps:
-            if np.linalg.norm(p - rp) <= min_sep:
+            if np.linalg.norm(p - rp) <= _AMBIGUITY_MIN_SEP:
                 break
         else:
             reps.append((p, float(residuals[idx]), bool(conv[idx])))
@@ -276,12 +275,12 @@ def _solve_clusters(anchors: np.ndarray, d: np.ndarray, opts: SolveOptions):
     idx = np.flatnonzero(fallback)
     if idx.size:
         solve(idx, opts.start_points())
-    return [_cluster_minima(p, f, conv, opts.ambiguity_min_sep) for p, f, conv in ends]
+    return [_cluster_minima(p, f, conv) for p, f, conv in ends]
 
 
-def _solution_from_clusters(clusters, opts: SolveOptions) -> Solution:
+def _solution_from_clusters(clusters) -> Solution:
     p_best, f_best, conv_best = clusters[0]
-    cutoff = f_best * (1.0 + opts.ambiguity_rel_tol) + opts.ambiguity_abs_tol
+    cutoff = f_best * (1.0 + _AMBIGUITY_REL_TOL) + _AMBIGUITY_ABS_TOL
     alternates = tuple(
         (Position3.from_array(p), f) for p, f, _ in clusters[1:] if f <= cutoff
     )
@@ -319,7 +318,7 @@ def multilaterate(ranges: Sequence[AnchorRange], opts: SolveOptions = SolveOptio
         if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < 3:
             raise GeometryError("anchors are coplanar; 3D solve is degenerate")
     clusters = _solve_clusters(anchors[None], d[None], opts)[0]
-    return _solution_from_clusters(clusters, opts)
+    return _solution_from_clusters(clusters)
 
 
 def pseudo_multilaterate_static(
@@ -347,7 +346,7 @@ def pseudo_multilaterate_static_batch(
     """
     if anchors.shape[1] < 3:
         raise ValueError(f"need >= 3 measurements, got {anchors.shape[1]}")
-    return [_solution_from_clusters(c, opts) for c in _solve_clusters(anchors, d, opts)]
+    return [_solution_from_clusters(c) for c in _solve_clusters(anchors, d, opts)]
 
 
 def crlb(

@@ -345,21 +345,15 @@ def _pick_first_arrival(profile: np.ndarray, interp, cfg: WaveformConfig) -> tup
     thr = peak * 10.0 ** (-cfg.threshold_db / 20.0)
     left = np.roll(profile, 1)
     right = np.roll(profile, -1)
+    # threshold_db > 0 puts the global maximum among the candidates.
     is_peak = (profile >= left) & (profile >= right) & (profile >= thr)
-    candidates = np.nonzero(is_peak)[0]
-    if candidates.size == 0:
-        raise DetectionFailure("no peak above the first-arrival threshold")
-    i0 = int(candidates[0])
+    i0 = int(np.flatnonzero(is_peak)[0])
 
-    if interp.ndim == 2:
-        k0 = int(np.argmax(interp[i0]))
-        v_m = float(interp[(i0 - 1) % n, k0])
-        v_0 = float(interp[i0, k0])
-        v_p = float(interp[(i0 + 1) % n, k0])
-    else:
-        v_m = float(interp[(i0 - 1) % n])
-        v_0 = float(interp[i0])
-        v_p = float(interp[(i0 + 1) % n])
+    interp = interp.reshape(n, -1)
+    k0 = int(np.argmax(interp[i0]))
+    v_m = float(interp[(i0 - 1) % n, k0])
+    v_0 = float(interp[i0, k0])
+    v_p = float(interp[(i0 + 1) % n, k0])
     denom = v_m - 2.0 * v_0 + v_p
     delta = 0.5 * (v_m - v_p) / denom if denom < 0 else 0.0
     delta = min(max(delta, -0.5), 0.5)

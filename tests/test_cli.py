@@ -202,6 +202,9 @@ _MALFORMED = {
     "solver-ambiguity": ("simulate", ("solver", "ambiguity_rel_tol"), 0.1, "solver.ambiguity_rel_tol"),
     "histogram-unknown": ("simulate", ("histogram", "bins"), 10, "histogram.bins"),
     "histogram-type": ("simulate", ("histogram", "max_m"), "100", "histogram.max_m"),
+    "histogram-no-bin": ("compare", ("histogram",), {"bin_width_m": 10.0, "max_m": 4.0}, "histogram"),
+    "histogram-too-many-bins": ("simulate", ("histogram", "bin_width_m"), 1e-300, "histogram"),
+    "histogram-inf-bins": ("simulate", ("histogram", "bin_width_m"), 5e-324, "histogram"),
     "relocation-unknown": ("simulate", ("relocation", "radius"), 1.0, "relocation.radius"),
     "relocation-missing": ("simulate", ("relocation", "altitude"), _DROP, "relocation.altitude"),
     "relocation-type": ("simulate", ("relocation", "shrink_factor"), [0.5], "relocation.shrink_factor"),
@@ -213,6 +216,7 @@ _MALFORMED = {
     "sigma-unknown": ("crlb", ("sigma", "sigma1"), 1.0, "sigma.sigma1"),
     "sigma-type": ("crlb", ("sigma", "eta"), "0.01", "sigma.eta"),
     "crlb-missing": ("crlb", ("target",), _DROP, "target"),
+    "crlb-target-on-anchor": ("crlb", ("target",), [0.0, 10.0, 10.0], "anchors[1]"),
     "nan-dt": ("simulate", ("dt",), math.nan, "dt"),
     "nan-bounds": ("simulate", ("bounds", 0, 1), math.nan, "bounds[0][1]"),
     "nan-phase0": ("simulate", ("trajectory", "phase0"), math.nan, "trajectory.phase0"),

@@ -9,7 +9,6 @@ from pseudolat.geometry import (
     CircularTrajectory,
     LinearTrajectory,
     Position3,
-    constant_series,
     distance,
     linear_mirror,
     mirror_point,
@@ -162,6 +161,3 @@ def test_waypoint_series_validation():
         WaypointSeries(np.array([0.0, 0.0]), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         WaypointSeries(np.array([0.0, 1.0]), np.zeros((3, 3)))
-    series = constant_series(np.array([0.0, 1.0]), Position3(1, 2, 3))
-    assert len(series) == 2
-    assert series.position(1).y == 2

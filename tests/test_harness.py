@@ -14,6 +14,8 @@ from pseudolat import harness
 from pseudolat.harness import (
     ConfigError,
     HistogramSpec,
+    LinearTarget,
+    StaticTarget,
     compare_waveforms,
     parse_compare_config,
     parse_crlb_config,
@@ -24,7 +26,7 @@ from pseudolat.harness import (
     write_report_csv,
     write_summary_json,
 )
-from pseudolat.geometry import sample_trajectory
+from pseudolat.geometry import Position3, sample_trajectory
 from pseudolat.waveform import C_LIGHT, Path, PathSet, WaveformConfig
 
 
@@ -269,6 +271,41 @@ class TestRunScenario:
             run_scenario(cfg)
         with pytest.raises(ValueError, match="anchor and target must not coincide"):
             scenario_matrices(cfg)
+
+    def test_moving_target_truth_follows_the_revolution_clock(self):
+        # dt = 0.7 gives 86 samples per revolution, and the clock adds 86 dt
+        # per revolution in floating point. Every run shares that clock, so
+        # every record holds the target at the last revolution's midpoint.
+        raw = base_scenario(
+            target={"kind": "linear", "start": [20.0, -10.0, 0.0], "velocity": [0.5, -0.2, 0.0]},
+            dt=0.7,
+            n_revolutions=3,
+            runs=4,
+            relocation={
+                "min_radius": 15.0,
+                "shrink_factor": 0.5,
+                "max_center_step": 400.0,
+                "altitude": 40.0,
+            },
+        )
+        report = run_scenario(parse_scenario_config(raw))
+        assert [r.true_pos for r in report.records] == [Position3(95.07499999999999, -40.03, 0.0)] * 4
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        StaticTarget(Position3(20.0, -10.0, 0.0)),
+        LinearTarget(Position3(20.0, -10.0, 0.0), Position3(0.5, -0.2, 0.0)),
+    ],
+)
+def test_path_at_matches_position_at(target):
+    # The times of revolution 2 at dt = 0.7, where the clock is inexact.
+    t = 120.39999999999999 + 0.7 * np.arange(86)
+    path = target.path_at(t)
+    assert path.shape == (86, 3)
+    for k in range(t.size):
+        assert path[k].tobytes() == target.position_at(float(t[k])).as_array().tobytes()
 
 
 class TestMatrices:
