@@ -59,7 +59,6 @@ __all__ = [
     "HistogramSpec",
     "WaveformRanging",
     "ScenarioConfig",
-    "RunRecord",
     "MetricsReport",
     "CompareConfig",
     "WaveformComparison",
@@ -167,35 +166,32 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    run: int
-    true_pos: Position3
-    est: Position3
-    err_m: float
-    residual: float
-    converged: bool
-    n_alternates: int
-    rev_errors: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class MetricsReport:
+    """A scenario's runs, one array row per run: ``est`` (runs, 3) final
+    estimates, ``rev_errors`` (runs, revolutions) every revolution's error,
+    and the final solves' ``residual``, ``converged`` and ``n_alternates``.
+    All runs share the revolution clock, so ``true_pos`` (the target at the
+    last revolution's midpoint) is every run's truth.
+    """
+
     scenario: str
-    records: tuple[RunRecord, ...]
+    true_pos: Position3
+    est: np.ndarray
+    rev_errors: np.ndarray
+    residual: np.ndarray
+    converged: np.ndarray
+    n_alternates: np.ndarray
     histogram: HistogramSpec
     runtime_s: float
 
     @property
     def errors(self) -> np.ndarray:
-        return np.array([r.err_m for r in self.records])
-
-    @property
-    def rev_errors(self) -> np.ndarray:
-        return np.array([r.rev_errors for r in self.records])
+        """Final error of every run, m."""
+        return self.rev_errors[:, -1]
 
     @property
     def convergence_rate(self) -> float:
-        return float(np.mean([1.0 if r.converged else 0.0 for r in self.records]))
+        return float(np.mean(self.converged))
 
     def stats(self) -> dict:
         return summary_stats(self.errors)
@@ -356,12 +352,13 @@ def _top_level(raw: dict, nullable: tuple[str, ...] = ()) -> dict:
 
 
 def parse_scenario_config(raw: dict) -> ScenarioConfig:
-    d = _top_level(
-        raw, ("obstacles", "relocation", "samples_per_revolution", "bounds", "solver", "histogram")
-    )
-    # The search region is set at the top level only.
+    d = _top_level(raw, ("obstacles", "relocation", "samples_per_revolution", "bounds", "histogram"))
+    # The search region is the solver's only setting a config sets.
     bounds = _as_bounds(d.pop("bounds"), "bounds") if "bounds" in d else DEFAULT_BOUNDS
-    solver = _build(SolveOptions, d.pop("solver", {}), "solver", fixed={"bounds": bounds})
+    try:
+        solver = SolveOptions(bounds=bounds)
+    except ValueError as e:
+        raise ConfigError(f"field bounds: {e}") from e
     cfg = _build(ScenarioConfig, d, "", fixed={"solver": solver})
     if cfg.dt <= 0:
         raise ConfigError("field dt must be > 0")
@@ -545,6 +542,17 @@ def _collect(
     return _collect_waveform_backed(anchor_p, target_p, cfg.obstacles, cfg.noise, seed)
 
 
+def _revolution_clock(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Start and midpoint times (revolutions,) of the clock that all runs
+    and the dataset export share: relocation keeps the angular speed, so a
+    revolution starts S dt after the last (a running sum in floating point),
+    and its midpoint is that of its first and last sample times."""
+    n_samples = cfg.samples_per_rev()
+    starts = np.zeros(cfg.n_revolutions)
+    starts[1:] = np.cumsum(np.full(cfg.n_revolutions - 1, n_samples * cfg.dt))
+    return starts, 0.5 * (starts + (starts + cfg.dt * (n_samples - 1)))
+
+
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """Execute all Monte-Carlo runs of a scenario and aggregate metrics.
 
@@ -560,14 +568,13 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     start = time.perf_counter()
     n_samples = cfg.samples_per_rev()
     specs = [cfg.trajectory] * cfg.runs
-    t_mid = np.empty(cfg.n_revolutions)
+    starts, t_mid = _revolution_clock(cfg)
     est = np.empty((cfg.runs, cfg.n_revolutions, 3))
     errors = np.empty((cfg.runs, cfg.n_revolutions))
     waveform_backed = isinstance(cfg.noise, WaveformRanging)
     if waveform_backed:
         make_pilot(cfg.noise.waveform)  # warm the pilot cache before any thread fan-out
-    t0 = 0.0
-    for rev in range(cfg.n_revolutions):
+    for rev, t0 in enumerate(starts):
         anchor_paths = [sample_trajectory(spec, t0, cfg.dt, n_samples) for spec in specs]
         t = anchor_paths[0].t
         target_p = cfg.target.path_at(t)  # every run's path has the times t
@@ -582,7 +589,6 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             d = np.stack([measure(run) for run in range(cfg.runs)])
         anchors = np.stack([path.p for path in anchor_paths])
         sols = pseudo_multilaterate_static_batch(anchors, d, cfg.solver)
-        t_mid[rev] = 0.5 * float(t[0] + t[-1])
         true_mid = cfg.target.position_at(t_mid[rev])
         for run, sol in enumerate(sols):
             est[run, rev] = sol.p_hat.as_array()
@@ -592,26 +598,16 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             for run, spec in enumerate(specs):
                 history = WaypointSeries(t_mid[: rev + 1], est[run, : rev + 1])
                 specs[run] = relocate(spec, predict_target(history, horizon), cfg.relocation)
-        t0 += n_samples * cfg.dt
-    records = tuple(
-        RunRecord(
-            run=run,
-            true_pos=true_mid,
-            est=sol.p_hat,
-            err_m=float(errors[run, -1]),
-            residual=sol.residual,
-            converged=sol.converged,
-            n_alternates=len(sol.alternates),
-            rev_errors=tuple(errors[run].tolist()),
-        )
-        for run, sol in enumerate(sols)
-    )
-    runtime = time.perf_counter() - start
     return MetricsReport(
         scenario=cfg.name,
-        records=records,
+        true_pos=true_mid,
+        est=est[:, -1],
+        rev_errors=errors,
+        residual=np.array([sol.residual for sol in sols]),
+        converged=np.array([sol.converged for sol in sols]),
+        n_alternates=np.array([len(sol.alternates) for sol in sols]),
         histogram=cfg.histogram,
-        runtime_s=runtime,
+        runtime_s=time.perf_counter() - start,
     )
 
 
@@ -624,14 +620,16 @@ def scenario_matrices(cfg: ScenarioConfig) -> list[MeasurementMatrix]:
     if not isinstance(cfg.trajectory, CircularTrajectory):
         raise ConfigError("dataset export requires a circular trajectory")
     n_samples = cfg.samples_per_rev()
-    anchor_path = sample_trajectory(cfg.trajectory, 0.0, cfg.dt, n_samples * cfg.n_revolutions)
-    target_p = cfg.target.path_at(anchor_path.t)
-    d, los = _collect(cfg, anchor_path.p, target_p, _derived_seed(cfg.base_seed, 0, 0))
-    rows = np.column_stack([anchor_path.p, d])
+    starts, t_mid = _revolution_clock(cfg)
+    paths = [sample_trajectory(cfg.trajectory, t0, cfg.dt, n_samples) for t0 in starts]
+    anchor_p = np.concatenate([path.p for path in paths])
+    target_p = cfg.target.path_at(np.concatenate([path.t for path in paths]))
+    d, los = _collect(cfg, anchor_p, target_p, _derived_seed(cfg.base_seed, 0, 0))
+    rows = np.column_stack([anchor_p, d])
     matrices = []
     for r in range(cfg.n_revolutions):
         cut = slice(r * n_samples, (r + 1) * n_samples)
-        label = cfg.target.position_at(0.5 * cfg.dt * (r * n_samples + (r + 1) * n_samples - 1))
+        label = cfg.target.position_at(t_mid[r])
         matrices.append(MeasurementMatrix(rows=rows[cut], los=los[cut], revolution=r, label=label))
     return matrices
 
@@ -725,11 +723,12 @@ def compare_waveforms(cfg: CompareConfig) -> WaveformComparison:
 
 def write_report_csv(report: MetricsReport, path) -> None:
     lines = ["scenario,run,true_x,true_y,true_z,est_x,est_y,est_z,err_m,residual,converged,n_alternates"]
-    for r in report.records:
+    truth = ",".join(_fmt(v) for v in report.true_pos.as_array())
+    for run, err in enumerate(report.errors):
+        est = ",".join(_fmt(v) for v in report.est[run])
         lines.append(
-            f"{report.scenario},{r.run},{_fmt(r.true_pos.x)},{_fmt(r.true_pos.y)},{_fmt(r.true_pos.z)},"
-            f"{_fmt(r.est.x)},{_fmt(r.est.y)},{_fmt(r.est.z)},{_fmt(r.err_m)},{_fmt(r.residual)},"
-            f"{int(r.converged)},{r.n_alternates}"
+            f"{report.scenario},{run},{truth},{est},{_fmt(err)},{_fmt(report.residual[run])},"
+            f"{int(report.converged[run])},{report.n_alternates[run]}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -737,14 +736,13 @@ def write_report_csv(report: MetricsReport, path) -> None:
 
 def write_summary_json(report: MetricsReport, path) -> None:
     counts, overflow = report.histogram.counts(report.errors)
-    rev = report.rev_errors
     payload = {
         "version": 1,
         "scenario": report.scenario,
-        "runs": len(report.records),
+        "runs": len(report.est),
         "final_error_m": report.stats(),
         "convergence_rate": report.convergence_rate,
-        "per_revolution_median_error_m": [float(np.median(rev[:, j])) for j in range(rev.shape[1])],
+        "per_revolution_median_error_m": np.median(report.rev_errors, axis=0).tolist(),
         "histogram": {
             "bin_width_m": report.histogram.bin_width_m,
             "max_m": report.histogram.max_m,

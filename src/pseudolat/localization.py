@@ -44,6 +44,12 @@ DEFAULT_BOUNDS: Bounds = ((-200.0, 200.0), (-200.0, 200.0), (0.0, 10.0))
 # the squared-range system has lost; a quadratic's leading coefficient
 # below it counts as vanished.
 _RANK_TOL = 1e-9
+# LM settings: iteration cap, absolute gradient and step tolerances, and
+# initial damping (see ``_kernels.lm_solve_batch``).
+_MAX_ITER = 200
+_GRAD_TOL = 1e-9
+_STEP_TOL = 1e-12
+_DAMPING0 = 1e-3
 # Scale-aware convergence: a masked gradient norm below this fraction of
 # 2 sqrt(K f) (see ``_lm``).
 _REL_GRAD_TOL = 1e-6
@@ -70,7 +76,7 @@ class AnchorRange:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs.
+    """Solver search region and fallback grid.
 
     ``bounds`` is the axis-aligned search region; a degenerate axis
     (lo == hi) freezes that coordinate. ``multistart_grid`` gives the
@@ -78,18 +84,10 @@ class SolveOptions:
     for problems the closed-form starts cannot seed or converge.
     """
 
-    max_iter: int = 200
-    grad_tol: float = 1e-9
-    step_tol: float = 1e-12
     multistart_grid: tuple[int, int, int] = (5, 5, 1)
-    damping0: float = 1e-3
     bounds: Bounds = DEFAULT_BOUNDS
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.grad_tol <= 0 or self.step_tol <= 0 or self.damping0 <= 0:
-            raise ValueError("tolerances and damping0 must be > 0")
         if any(g < 1 for g in self.multistart_grid):
             raise ValueError("multistart grid counts must be >= 1")
         for lo, hi in self.bounds:
@@ -233,18 +231,18 @@ def _closed_form_starts(anchors: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: 
     return starts, counts
 
 
-def _lm(anchors: np.ndarray, d: np.ndarray, starts: np.ndarray, lo, hi, opts: SolveOptions):
+def _lm(anchors: np.ndarray, d: np.ndarray, starts: np.ndarray, lo, hi):
     """LM endpoints and residuals of every start, and which converged.
 
-    A start converged when its masked gradient norm g meets ``grad_tol`` or
+    A start converged when its masked gradient norm g meets ``_GRAD_TOL`` or
     is below ``_REL_GRAD_TOL`` of 2 sqrt(K f), which bounds ||2 J^T r||
     because every row of J is a unit vector: noisy residuals put an absolute
     gradient floor out of reach even at the optimum.
     """
     points, f, g, _, _ = _kernels.lm_solve_batch(
-        anchors, d, starts, lo, hi, opts.max_iter, opts.grad_tol, opts.step_tol, opts.damping0
+        anchors, d, starts, lo, hi, _MAX_ITER, _GRAD_TOL, _STEP_TOL, _DAMPING0
     )
-    conv = (g <= opts.grad_tol) | (g <= _REL_GRAD_TOL * 2.0 * np.sqrt(anchors.shape[1] * f))
+    conv = (g <= _GRAD_TOL) | (g <= _REL_GRAD_TOL * 2.0 * np.sqrt(anchors.shape[1] * f))
     return points, f, conv
 
 
@@ -261,7 +259,7 @@ def _solve_clusters(anchors: np.ndarray, d: np.ndarray, opts: SolveOptions):
     fallback = counts == 0
 
     def solve(idx, starts_idx):
-        points, f, conv = _lm(anchors[idx], d[idx], starts_idx, lo, hi, opts)
+        points, f, conv = _lm(anchors[idx], d[idx], starts_idx, lo, hi)
         for i, b in enumerate(idx):
             ends[b] = (points[i], f[i], conv[i])
         return conv

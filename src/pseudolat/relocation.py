@@ -43,8 +43,6 @@ def predict_target(history: WaypointSeries, horizon: float) -> Position3:
     With two or more estimates the velocity is the finite difference of the
     last two; a single estimate is returned as-is.
     """
-    if len(history) == 0:
-        raise ValueError("history must contain at least one estimate")
     if len(history) == 1:
         return history.position(0)
     p1 = history.p[-1]

@@ -164,7 +164,6 @@ def _malformed_bases():
         "relocation": {"min_radius": 15.0, "shrink_factor": 0.5, "max_center_step": 400.0, "altitude": 40.0},
         "runs": 1,
         "bounds": [[-150.0, 150.0], [-150.0, 150.0], [0.0, 10.0]],
-        "solver": {"max_iter": 200, "multistart_grid": [5, 5, 1]},
         "histogram": {"bin_width_m": 0.5, "max_m": 100.0},
     }
     waveform_scenario = dict(
@@ -195,11 +194,9 @@ _MALFORMED = {
     "obstacle-unknown": ("simulate", ("obstacles", 0, "mid"), [1.0, 2.0, 3.0], "obstacles[0].mid"),
     "obstacle-missing": ("simulate", ("obstacles", 0, "max"), _DROP, "obstacles[0].max"),
     "obstacle-type": ("simulate", ("obstacles", 0, "min"), "low", "obstacles[0].min"),
-    "solver-unknown": ("simulate", ("solver", "max_iters"), 10, "solver.max_iters"),
-    "solver-type": ("simulate", ("solver", "max_iter"), 1.5, "solver.max_iter"),
-    "solver-bounds": ("simulate", ("solver", "bounds"), [[0.0, 1.0]] * 3, "solver.bounds"),
+    "solver-unknown": ("simulate", ("solver",), {"max_iter": 200, "multistart_grid": [5, 5, 1]}, "solver"),
+    "bounds-reversed": ("simulate", ("bounds", 0), [10.0, -10.0], "field bounds"),
     "noise-seed": ("simulate", ("noise", "seed"), 3, "noise.seed"),
-    "solver-ambiguity": ("simulate", ("solver", "ambiguity_rel_tol"), 0.1, "solver.ambiguity_rel_tol"),
     "histogram-unknown": ("simulate", ("histogram", "bins"), 10, "histogram.bins"),
     "histogram-type": ("simulate", ("histogram", "max_m"), "100", "histogram.max_m"),
     "histogram-no-bin": ("compare", ("histogram",), {"bin_width_m": 10.0, "max_m": 4.0}, "histogram"),

@@ -151,6 +151,14 @@ class TestParsing:
         assert sigma_fn(100.0) == 2.0
 
 
+def _assert_same_runs(a, b):
+    """``a`` holds ``b``'s truth and, row for row, ``b``'s first runs."""
+    assert a.true_pos == b.true_pos
+    n = len(a.est)
+    for name in ("est", "rev_errors", "residual", "converged", "n_alternates"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)[:n]), name
+
+
 class TestRunScenario:
     def test_noiseless_static_recovers_target(self):
         raw = base_scenario(
@@ -165,7 +173,8 @@ class TestRunScenario:
         cfg = parse_scenario_config(base_scenario(runs=5))
         a = run_scenario(cfg)
         b = run_scenario(cfg)
-        assert [r.err_m for r in a.records] == [r.err_m for r in b.records]
+        assert len(a.est) == len(b.est) == 5
+        _assert_same_runs(a, b)
 
     def test_threads_do_not_change_results(self, monkeypatch):
         # Waveform-backed runs are the ones that fan out.
@@ -179,10 +188,11 @@ class TestRunScenario:
         seq = run_scenario(cfg)
         monkeypatch.setenv("PSEUDOLAT_THREADS", "3")
         par = run_scenario(cfg)
-        assert seq.records == par.records
+        assert len(seq.est) == len(par.est) == 6
+        _assert_same_runs(seq, par)
 
     def test_runs_do_not_depend_on_run_count(self):
-        # A revolution's runs are solved in one batch; a run's record must
+        # A revolution's runs are solved in one batch; a run's results must
         # not depend on how many other runs share its revolution.
         raw = base_scenario(
             trajectory={
@@ -202,8 +212,8 @@ class TestRunScenario:
         )
         few = run_scenario(parse_scenario_config(dict(raw, runs=3)))
         many = run_scenario(parse_scenario_config(dict(raw, runs=7)))
-        assert few.records == many.records[:3]
-        assert len({r.rev_errors for r in many.records}) == 7
+        _assert_same_runs(few, many)
+        assert len({tuple(row) for row in many.rev_errors.tolist()}) == 7
 
     def test_moving_target_errors_stay_bounded(self):
         raw = base_scenario(
@@ -229,6 +239,46 @@ class TestRunScenario:
         recomputed = summary_stats(errors)
         stored = json.loads(json_path.read_text())["final_error_m"]
         assert recomputed == stored
+
+    def test_final_error_is_the_final_estimate_against_the_truth(self):
+        # ``errors`` reads the last revolution's column of ``rev_errors``;
+        # it must be each run's final ``est`` measured against ``true_pos``.
+        raw = base_scenario(
+            target={"kind": "linear", "start": [20.0, -10.0, 0.0], "velocity": [0.5, -0.2, 0.0]},
+            n_revolutions=3,
+            runs=4,
+            relocation={"min_radius": 15.0, "shrink_factor": 0.5, "max_center_step": 400.0, "altitude": 100.0},
+        )
+        report = run_scenario(parse_scenario_config(raw))
+        assert report.rev_errors.shape == (4, 3)
+        truth = report.true_pos.as_array()
+        assert report.errors.tolist() == [float(np.linalg.norm(e - truth)) for e in report.est]
+        for name in ("residual", "converged", "n_alternates"):
+            assert getattr(report, name).shape == (4,), name
+
+    def test_report_rows_are_the_report_arrays(self, tmp_path):
+        cfg = parse_scenario_config(base_scenario(runs=5, n_revolutions=2))
+        report = run_scenario(cfg)
+        csv_path = tmp_path / "report.csv"
+        json_path = tmp_path / "summary.json"
+        write_report_csv(report, csv_path)
+        write_summary_json(report, json_path)
+
+        lines = csv_path.read_text().strip().split("\n")
+        assert len(lines) == 1 + 5
+        for run, line in enumerate(lines[1:]):
+            fields = line.split(",")
+            assert fields[:2] == [cfg.name, str(run)]
+            assert [float(v) for v in fields[2:5]] == list(report.true_pos.as_array())
+            assert [float(v) for v in fields[5:8]] == report.est[run].tolist()
+            assert float(fields[8]) == report.errors[run]
+            assert float(fields[9]) == report.residual[run]
+            assert int(fields[10]) == int(report.converged[run])
+            assert int(fields[11]) == report.n_alternates[run]
+        summary = json.loads(json_path.read_text())
+        assert summary["runs"] == 5
+        assert summary["convergence_rate"] == float(np.mean(report.converged))
+        assert summary["per_revolution_median_error_m"] == np.median(report.rev_errors, axis=0).tolist()
 
     def test_waveform_backed_scenario_runs(self):
         raw = base_scenario(
@@ -275,7 +325,8 @@ class TestRunScenario:
     def test_moving_target_truth_follows_the_revolution_clock(self):
         # dt = 0.7 gives 86 samples per revolution, and the clock adds 86 dt
         # per revolution in floating point. Every run shares that clock, so
-        # every record holds the target at the last revolution's midpoint.
+        # the report's one truth is the target at the last revolution's
+        # midpoint.
         raw = base_scenario(
             target={"kind": "linear", "start": [20.0, -10.0, 0.0], "velocity": [0.5, -0.2, 0.0]},
             dt=0.7,
@@ -289,7 +340,8 @@ class TestRunScenario:
             },
         )
         report = run_scenario(parse_scenario_config(raw))
-        assert [r.true_pos for r in report.records] == [Position3(95.07499999999999, -40.03, 0.0)] * 4
+        assert report.true_pos == Position3(95.07499999999999, -40.03, 0.0)
+        assert report.est.shape == (4, 3) and report.rev_errors.shape == (4, 3)
 
 
 @pytest.mark.parametrize(
@@ -320,6 +372,30 @@ class TestMatrices:
         assert np.array_equal(np.concatenate([m.rows[:, :3] for m in mats]), path.p)
         assert mats[0].label is not None
         assert np.allclose(mats[0].label.as_array(), [20.0, -10.0, 0.0])
+
+    def test_matrices_follow_the_revolution_clock(self, monkeypatch):
+        # dt = 0.9 gives 67 samples per revolution. The export samples and
+        # labels every revolution on run_scenario's clock, bit for bit: the
+        # closed form 0.5 dt (2 r S + S - 1) would put revolution 3's
+        # midpoint at 210.60000000000002 s, where the clock reads 210.6 s.
+        raw = base_scenario(
+            target={"kind": "linear", "start": [20.0, -10.0, 0.0], "velocity": [0.5, -0.2, 0.0]},
+            dt=0.9,
+            n_revolutions=4,
+            runs=1,
+        )
+        cfg = parse_scenario_config(raw)
+        assert cfg.samples_per_rev() == 67
+        grid = []
+        sample = harness.sample_trajectory
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "sample_trajectory", lambda *args: grid.append(sample(*args)) or grid[-1])
+            run_scenario(cfg)
+        mats = scenario_matrices(cfg)
+        assert len(grid) == len(mats) == 4
+        for r, m in enumerate(mats):
+            assert m.rows[:, :3].tobytes() == grid[r].p.tobytes()
+            assert m.label == run_scenario(dataclasses.replace(cfg, n_revolutions=r + 1)).true_pos
 
     def test_rejects_linear_spec(self):
         raw = base_scenario(

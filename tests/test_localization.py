@@ -288,17 +288,18 @@ def _arrays(meas):
     return anchors, np.array([m.d_meas for m in meas])
 
 
-def _record_kernel_calls(monkeypatch):
-    """Record (problems, starts) of every kernel call and refuse empty ones."""
+def _record_kernel_calls(monkeypatch, max_iter=None):
+    """Record (problems, starts) of every kernel call and refuse empty ones.
+    ``max_iter``, if given, replaces every call's iteration cap."""
     calls = []
     solve = _kernels.lm_solve_batch
 
-    def recording(anchors, d, starts, *args):
+    def recording(anchors, d, starts, lo, hi, iters, *tols):
         shape = np.shape(anchors)
         problems = 1 if len(shape) == 2 else shape[0]
         assert problems > 0, "kernel called with zero problems"
         calls.append((problems, np.shape(starts)[-2]))
-        return solve(anchors, d, starts, *args)
+        return solve(anchors, d, starts, lo, hi, iters if max_iter is None else max_iter, *tols)
 
     monkeypatch.setattr(_kernels, "lm_solve_batch", recording)
     return calls
@@ -375,10 +376,9 @@ class TestClosedFormStarts:
         # and the solution says it did not converge.
         model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=3)
         anchors, d = _arrays(circle_measurements(Position3(20, -10, 0), model=model))
-        opts = SolveOptions(bounds=BAND.bounds, max_iter=1)
-        calls = _record_kernel_calls(monkeypatch)
-        sol = pseudo_multilaterate_static_batch(anchors[None], d[None], opts)[0]
-        assert calls == [(1, 2), (1, len(opts.start_points()))]
+        calls = _record_kernel_calls(monkeypatch, max_iter=1)
+        sol = pseudo_multilaterate_static_batch(anchors[None], d[None], BAND)[0]
+        assert calls == [(1, 2), (1, len(BAND.start_points()))]
         assert not sol.converged
 
     def test_noisy_solves_report_converged(self):
