@@ -24,7 +24,6 @@ from .localization import (
     CrlbResult,
     GeometryError,
     Solution,
-    SolveOptions,
     crlb,
     multilaterate,
     pseudo_multilaterate_static,

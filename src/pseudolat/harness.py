@@ -29,7 +29,7 @@ from .geometry import (
     revolution_period,
     sample_trajectory,
 )
-from .localization import DEFAULT_BOUNDS, SolveOptions, pseudo_multilaterate_static_batch
+from .localization import DEFAULT_BOUNDS, Bounds, _box, pseudo_multilaterate_static_batch
 from .ranging import (
     MeasurementMatrix,
     NoiseModel,
@@ -145,7 +145,6 @@ class ScenarioConfig:
     dt: float
     target: StaticTarget | LinearTarget
     noise: NoiseModel | WaveformRanging
-    solver: SolveOptions
     name: str = "scenario"
     samples_per_revolution: int | None = None
     obstacles: tuple[Obstacle, ...] = ()
@@ -153,6 +152,7 @@ class ScenarioConfig:
     relocation: RelocationPolicy | None = None
     runs: int = 1
     base_seed: int = 0
+    bounds: Bounds = DEFAULT_BOUNDS
     histogram: HistogramSpec = HistogramSpec()
 
     def samples_per_rev(self) -> int:
@@ -261,8 +261,13 @@ def _as_vec3(v, path: str) -> Position3:
     return Position3(*_as_tuple(v, path, _as_number, n=3))
 
 
-def _as_bounds(v, path: str):
-    return _as_tuple(v, path, lambda pair, p: _as_tuple(pair, p, _as_number, n=2), n=3)
+def _as_bounds(v, path: str) -> Bounds:
+    bounds = _as_tuple(v, path, lambda pair, p: _as_tuple(pair, p, _as_number, n=2), n=3)
+    try:
+        _box(bounds)
+    except ValueError as e:
+        raise ConfigError(f"field {path}: {e}") from e
+    return bounds
 
 
 def _build(cls, v, path: str, rename=None, fixed=None, keys=None):
@@ -293,7 +298,7 @@ def _build(cls, v, path: str, rename=None, fixed=None, keys=None):
         raise ConfigError(f"field {path}: {e}") from e
 
 
-def _kinds(table: dict, **options):
+def _kinds(table: dict):
     """Converter for a section whose ``kind`` picks its dataclass from ``table``."""
 
     def convert(v, path: str):
@@ -304,7 +309,7 @@ def _kinds(table: dict, **options):
         if not isinstance(kind, str) or kind not in table:
             allowed = " or ".join(repr(k) for k in table)
             raise ConfigError(f"field {_join(path, 'kind')} must be {allowed}")
-        return _build(table[kind], d, path, **options)
+        return _build(table[kind], d, path)
 
     return convert
 
@@ -320,6 +325,7 @@ _CONVERT = {
     "int | None": _as_int,
     "str": _as_str,
     "Position3": _as_vec3,
+    "Bounds": _as_bounds,
     "tuple[int, int, int]": lambda v, p: _as_tuple(v, p, _as_int, n=3),
     "tuple[float, ...]": lambda v, p: _as_tuple(v, p, _as_number, at_least=1),
     "tuple[Position3, ...]": lambda v, p: _as_tuple(v, p, _as_vec3, at_least=3),
@@ -328,9 +334,7 @@ _CONVERT = {
     ),
     "TrajectorySpec": _kinds({"circular": CircularTrajectory, "linear": LinearTrajectory}),
     "StaticTarget | LinearTarget": _kinds({"static": StaticTarget, "linear": LinearTarget}),
-    "NoiseModel | WaveformRanging": _kinds(
-        {"statistical": NoiseModel, "waveform": WaveformRanging}, fixed={"seed": 0}
-    ),
+    "NoiseModel | WaveformRanging": _kinds({"statistical": NoiseModel, "waveform": WaveformRanging}),
     "WaveformConfig": lambda v, p: _build(WaveformConfig, v, p, rename=_WAVEFORM_KEYS),
     "NlosEnsemble": lambda v, p: _build(NlosEnsemble, v, p),
     "RelocationPolicy | None": lambda v, p: _build(RelocationPolicy, v, p),
@@ -353,13 +357,7 @@ def _top_level(raw: dict, nullable: tuple[str, ...] = ()) -> dict:
 
 def parse_scenario_config(raw: dict) -> ScenarioConfig:
     d = _top_level(raw, ("obstacles", "relocation", "samples_per_revolution", "bounds", "histogram"))
-    # The search region is the solver's only setting a config sets.
-    bounds = _as_bounds(d.pop("bounds"), "bounds") if "bounds" in d else DEFAULT_BOUNDS
-    try:
-        solver = SolveOptions(bounds=bounds)
-    except ValueError as e:
-        raise ConfigError(f"field bounds: {e}") from e
-    cfg = _build(ScenarioConfig, d, "", fixed={"solver": solver})
+    cfg = _build(ScenarioConfig, d, "")
     if cfg.dt <= 0:
         raise ConfigError("field dt must be > 0")
     samples = cfg.samples_per_revolution
@@ -372,6 +370,8 @@ def parse_scenario_config(raw: dict) -> ScenarioConfig:
     for key in ("n_revolutions", "runs"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"field {key} must be >= 1")
+    if cfg.base_seed < 0:
+        raise ConfigError("field base_seed must be >= 0")
     # report.csv writes the name unquoted.
     if any(c in cfg.name for c in ',"\r\n'):
         raise ConfigError("field name must not contain a comma, a double quote, CR or LF")
@@ -406,6 +406,8 @@ def parse_compare_config(raw: dict) -> CompareConfig:
     cfg = _build(CompareConfig, d, "", fixed={"waveform": {k: getattr(probe, k) for k in keys}})
     if cfg.trials < 1:
         raise ConfigError("field trials must be >= 1")
+    if cfg.base_seed < 0:
+        raise ConfigError("field base_seed must be >= 0")
     for i, df in enumerate(cfg.spacings_hz):
         if df <= 0:
             raise ConfigError(f"field spacings_hz[{i}] must be > 0")
@@ -537,8 +539,7 @@ def _collect(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measured ranges (S,) and LoS flags (S,) between (S, 3) anchor and target paths."""
     if isinstance(cfg.noise, NoiseModel):
-        model = dataclasses.replace(cfg.noise, seed=seed)
-        return _ranges(anchor_p, target_p, cfg.obstacles, model)
+        return _ranges(anchor_p, target_p, cfg.obstacles, cfg.noise, seed)
     return _collect_waveform_backed(anchor_p, target_p, cfg.obstacles, cfg.noise, seed)
 
 
@@ -588,7 +589,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
         else:
             d = np.stack([measure(run) for run in range(cfg.runs)])
         anchors = np.stack([path.p for path in anchor_paths])
-        sols = pseudo_multilaterate_static_batch(anchors, d, cfg.solver)
+        sols = pseudo_multilaterate_static_batch(anchors, d, cfg.bounds)
         true_mid = cfg.target.position_at(t_mid[rev])
         for run, sol in enumerate(sols):
             est[run, rev] = sol.p_hat.as_array()

@@ -24,7 +24,6 @@ from .ranging import RangeMeasurement
 
 __all__ = [
     "AnchorRange",
-    "SolveOptions",
     "Solution",
     "CrlbResult",
     "GeometryError",
@@ -39,6 +38,9 @@ __all__ = [
 Bounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
 DEFAULT_BOUNDS: Bounds = ((-200.0, 200.0), (-200.0, 200.0), (0.0, 10.0))
+# Start points per axis of the grid that solves a problem the closed-form
+# starts cannot seed or converge.
+_FALLBACK_GRID = (5, 5, 1)
 
 # Singular values below this fraction of the largest count as a direction
 # the squared-range system has lost; a quadratic's leading coefficient
@@ -72,33 +74,6 @@ class AnchorRange:
     def __post_init__(self):
         if self.d < 0:
             raise ValueError(f"range must be >= 0, got {self.d}")
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Solver search region and fallback grid.
-
-    ``bounds`` is the axis-aligned search region; a degenerate axis
-    (lo == hi) freezes that coordinate. ``multistart_grid`` gives the
-    number of start points per axis of the fallback grid, which runs only
-    for problems the closed-form starts cannot seed or converge.
-    """
-
-    multistart_grid: tuple[int, int, int] = (5, 5, 1)
-    bounds: Bounds = DEFAULT_BOUNDS
-
-    def __post_init__(self):
-        if any(g < 1 for g in self.multistart_grid):
-            raise ValueError("multistart grid counts must be >= 1")
-        for lo, hi in self.bounds:
-            if hi < lo:
-                raise ValueError("bounds must satisfy lo <= hi on every axis")
-
-    def start_points(self) -> np.ndarray:
-        axes = []
-        for (lo, hi), count in zip(self.bounds, self.multistart_grid):
-            axes.append(np.linspace(lo, hi, count) if count > 1 else np.array([lo]))
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -170,8 +145,21 @@ def _cluster_minima(points: np.ndarray, residuals: np.ndarray, conv: np.ndarray)
     return reps
 
 
-def _box(opts: SolveOptions) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([b[0] for b in opts.bounds]), np.array([b[1] for b in opts.bounds])
+def _box(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Corners lo and hi (3,) of the search region ``bounds``, one (lo, hi)
+    pair per axis; a degenerate axis (lo == hi) freezes that coordinate."""
+    lo, hi = np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds])
+    if np.any(hi < lo):
+        raise ValueError("bounds must satisfy lo <= hi on every axis")
+    return lo, hi
+
+
+def _grid_starts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The ``_FALLBACK_GRID`` start points (N, 3) over the box."""
+    axes = [
+        np.linspace(a, b, n) if n > 1 else np.array([a]) for a, b, n in zip(lo, hi, _FALLBACK_GRID)
+    ]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def _closed_form_starts(anchors: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -246,14 +234,14 @@ def _lm(anchors: np.ndarray, d: np.ndarray, starts: np.ndarray, lo, hi):
     return points, f, conv
 
 
-def _solve_clusters(anchors: np.ndarray, d: np.ndarray, opts: SolveOptions):
+def _solve_clusters(anchors: np.ndarray, d: np.ndarray, bounds: Bounds):
     """Clustered minima of each problem: anchors (B, K, 3), d (B, K).
 
     LM runs from the closed-form starts; a problem the closed form cannot
     seed, or none of whose closed-form starts converged, is solved again
-    from the ``multistart_grid`` grid instead.
+    from the ``_FALLBACK_GRID`` grid instead.
     """
-    lo, hi = _box(opts)
+    lo, hi = _box(bounds)
     starts, counts = _closed_form_starts(anchors, d, lo, hi)
     ends: list = [None] * anchors.shape[0]
     fallback = counts == 0
@@ -272,7 +260,7 @@ def _solve_clusters(anchors: np.ndarray, d: np.ndarray, opts: SolveOptions):
             fallback[idx] = ~conv.any(axis=1)
     idx = np.flatnonzero(fallback)
     if idx.size:
-        solve(idx, opts.start_points())
+        solve(idx, _grid_starts(lo, hi))
     return [_cluster_minima(p, f, conv) for p, f, conv in ends]
 
 
@@ -290,12 +278,7 @@ def _solution_from_clusters(clusters) -> Solution:
     )
 
 
-def _is_2d(opts: SolveOptions) -> bool:
-    zlo, zhi = opts.bounds[2]
-    return zlo == zhi
-
-
-def multilaterate(ranges: Sequence[AnchorRange], opts: SolveOptions = SolveOptions()) -> Solution:
+def multilaterate(ranges: Sequence[AnchorRange], bounds: Bounds = DEFAULT_BOUNDS) -> Solution:
     """Classical multilateration from static anchors.
 
     Requires three non-collinear anchors when the search region pins z
@@ -303,7 +286,8 @@ def multilaterate(ranges: Sequence[AnchorRange], opts: SolveOptions = SolveOptio
     """
     anchors, d = _ranges_to_arrays(ranges) if ranges else (np.empty((0, 3)), np.empty(0))
     n = anchors.shape[0]
-    if _is_2d(opts):
+    zlo, zhi = bounds[2]
+    if zlo == zhi:
         if n < 3:
             raise GeometryError(f"2D multilateration needs >= 3 anchors, got {n}")
         centered = anchors[:, :2] - anchors[:, :2].mean(axis=0)
@@ -315,12 +299,12 @@ def multilaterate(ranges: Sequence[AnchorRange], opts: SolveOptions = SolveOptio
         centered = anchors - anchors.mean(axis=0)
         if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < 3:
             raise GeometryError("anchors are coplanar; 3D solve is degenerate")
-    clusters = _solve_clusters(anchors[None], d[None], opts)[0]
+    clusters = _solve_clusters(anchors[None], d[None], bounds)[0]
     return _solution_from_clusters(clusters)
 
 
 def pseudo_multilaterate_static(
-    meas: Sequence[RangeMeasurement], opts: SolveOptions = SolveOptions()
+    meas: Sequence[RangeMeasurement], bounds: Bounds = DEFAULT_BOUNDS
 ) -> Solution:
     """Locate a static target from one moving anchor's range time series.
 
@@ -330,11 +314,11 @@ def pseudo_multilaterate_static(
     """
     anchors = np.array([m.anchor.as_array() for m in meas]).reshape(-1, 3)
     d = np.array([m.d_meas for m in meas])
-    return pseudo_multilaterate_static_batch(anchors[None], d[None], opts)[0]
+    return pseudo_multilaterate_static_batch(anchors[None], d[None], bounds)[0]
 
 
 def pseudo_multilaterate_static_batch(
-    anchors: np.ndarray, d: np.ndarray, opts: SolveOptions = SolveOptions()
+    anchors: np.ndarray, d: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS
 ) -> list[Solution]:
     """:func:`pseudo_multilaterate_static` for B problems at once.
 
@@ -344,7 +328,7 @@ def pseudo_multilaterate_static_batch(
     """
     if anchors.shape[1] < 3:
         raise ValueError(f"need >= 3 measurements, got {anchors.shape[1]}")
-    return [_solution_from_clusters(c) for c in _solve_clusters(anchors, d, opts)]
+    return [_solution_from_clusters(c) for c in _solve_clusters(anchors, d, bounds)]
 
 
 def crlb(

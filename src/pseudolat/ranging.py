@@ -55,7 +55,6 @@ class NoiseModel:
     sigma0: float = 1.0
     eta: float = 0.01
     nlos_bias_mean: float = 5.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma0 < 0 or self.eta < 0 or self.nlos_bias_mean < 0:
@@ -147,12 +146,13 @@ def _ranges(
     target_p: np.ndarray,
     obstacles: Sequence[Obstacle],
     model: NoiseModel,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noisy ranges ``d_meas`` (S,) and LoS flags (S,) of the (S, 3) paths.
 
     Each sample draws max(0, d_true + N(0, sigma0 + eta * d_true) + bias),
     where only a blocked sample adds an Exponential(nlos_bias_mean) bias.
-    The draws come from one generator seeded from ``model.seed`` in the
+    The draws come from one generator seeded from ``seed`` in the
     order of the per-sample loop in ``tests/ranging_reference.py``, which
     the tests check bit for bit: one normal per sample, an exponential
     right after each blocked sample's normal. A maximal run of LoS samples
@@ -161,7 +161,7 @@ def _ranges(
     los = _line_of_sight(anchor_p, target_p, obstacles)
     d_true = _distances(anchor_p, target_p)
     sigma = model.sigma(d_true)
-    rng = np.random.default_rng(model.seed)
+    rng = np.random.default_rng(seed)
     noise = np.empty_like(d_true)
     bias = np.zeros_like(d_true)
     start = 0
@@ -180,15 +180,16 @@ def collect_measurements(
     target_path: WaypointSeries,
     obstacles: Sequence[Obstacle],
     model: NoiseModel,
+    seed: int,
 ) -> list[RangeMeasurement]:
     """Range the target from every anchor waypoint, in time order.
 
     Both series must share the same time grid. A fresh generator seeded from
-    ``model.seed`` is used, so identical inputs give identical measurements.
+    ``seed`` is used, so identical inputs give identical measurements.
     """
     if not np.array_equal(anchor_path.t, target_path.t):
         raise ValueError("anchor and target series must share the time grid")
-    d, los = _ranges(anchor_path.p, target_path.p, obstacles, model)
+    d, los = _ranges(anchor_path.p, target_path.p, obstacles, model, seed)
     return [
         RangeMeasurement(float(anchor_path.t[k]), anchor_path.position(k), float(d[k]), bool(los[k]))
         for k in range(len(anchor_path))

@@ -49,8 +49,10 @@ def sample_range(d_true: float, los: bool, model: NoiseModel, rng: np.random.Gen
     return max(0.0, d_true + noise + bias)
 
 
-def collect_measurements(anchor_path, target_path, obstacles, model: NoiseModel) -> list[RangeMeasurement]:
-    rng = np.random.default_rng(model.seed)
+def collect_measurements(
+    anchor_path, target_path, obstacles, model: NoiseModel, seed: int
+) -> list[RangeMeasurement]:
+    rng = np.random.default_rng(seed)
     out = []
     for k in range(len(anchor_path)):
         anchor = anchor_path.position(k)

@@ -28,7 +28,6 @@ from pseudolat.harness import (
 )
 from pseudolat.localization import (
     AnchorRange,
-    SolveOptions,
     crlb,
     multilaterate,
     pseudo_multilaterate_static,
@@ -51,9 +50,9 @@ from pseudolat.waveform import (
     sfft,
 )
 
-NOISELESS = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=0.0, seed=0)
-BAND = SolveOptions(bounds=((-150.0, 150.0), (-150.0, 150.0), (0.0, 10.0)))
-PLANE = SolveOptions(bounds=((-400.0, 400.0), (-400.0, 400.0), (0.0, 0.0)))
+NOISELESS = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=0.0)
+BAND = ((-150.0, 150.0), (-150.0, 150.0), (0.0, 10.0))
+PLANE = ((-400.0, 400.0), (-400.0, 400.0), (0.0, 0.0))
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -64,7 +63,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def _static_measurements(spec, target, n, model=NOISELESS):
     anchor = sample_trajectory(spec, 0.0, 1.0, n)
     tseries = WaypointSeries(anchor.t, np.tile(target.as_array(), (n, 1)))
-    return collect_measurements(anchor, tseries, [], model)
+    return collect_measurements(anchor, tseries, [], model, 0)
 
 
 def test_criterion_1_noiseless_recovery_speed():
@@ -187,14 +186,12 @@ def test_criterion_3_crlb_suite():
         )
     bound = crlb(anchors, target, lambda d: 1.0)
     predicted = math.sqrt(bound.trace)
-    opts = SolveOptions(
-        bounds=((-200.0, 200.0), (-200.0, 200.0), (-200.0, 200.0)), multistart_grid=(3, 3, 3)
-    )
+    bounds = ((-200.0, 200.0), (-200.0, 200.0), (-200.0, 200.0))
     true_d = np.array([np.linalg.norm(a.as_array() - target.as_array()) for a in anchors])
     sq = []
     for _ in range(1000):
         d = np.maximum(true_d + rng.normal(0.0, 1.0, true_d.size), 0.0)
-        sol = multilaterate([AnchorRange(a, di) for a, di in zip(anchors, d)], opts)
+        sol = multilaterate([AnchorRange(a, di) for a, di in zip(anchors, d)], bounds)
         sq.append(np.sum((sol.p_hat.as_array() - target.as_array()) ** 2))
     rmse = math.sqrt(np.mean(sq))
     rmse_ok = abs(rmse - predicted) / predicted < 0.25
@@ -365,8 +362,7 @@ def test_criterion_7_oracle_equivalence():
             RangeMeasurement(float(i), Position3(*anchors[i]), float(d[i]), True)
             for i in range(k)
         ]
-        opts = SolveOptions(bounds=((-100.0, 100.0), (-100.0, 100.0), (0.0, 0.0)))
-        sol = pseudo_multilaterate_static(meas, opts)
+        sol = pseudo_multilaterate_static(meas, ((-100.0, 100.0), (-100.0, 100.0), (0.0, 0.0)))
 
         axis = np.arange(-100.0, 100.0 + 1e-9, 0.25)
         best = np.inf

@@ -229,6 +229,8 @@ _MALFORMED = {
     "huge-int-dt": ("simulate", ("dt",), 10**400, "dt"),
     "spacing-negative": ("compare", ("spacings_hz", 1), -1.0, "spacings_hz[1]"),
     "spacing-zero": ("compare", ("spacings_hz", 0), 0.0, "spacings_hz[0]"),
+    "seed-negative-simulate": ("simulate", ("base_seed",), -1, "base_seed"),
+    "seed-negative-compare": ("compare", ("base_seed",), -3, "base_seed"),
 }
 # CLI subcommand per base config
 _COMMANDS = {"simulate": "simulate", "waveform": "simulate", "crlb": "crlb", "compare": "compare-waveforms"}
@@ -251,6 +253,17 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, case):
     assert main(["--out-dir", str(tmp_path / "out"), "--quiet", _COMMANDS[base], str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("simulate", "circular_static.json"), ("compare-waveforms", "fig5.json"), ("export-dataset", "export_demo.json")],
+)
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command, config):
+    # numpy's seeding rejects negative integers, so the parser must first.
+    code = main(["--quiet", "--out-dir", str(tmp_path), "--seed", "-1", command, str(CONFIGS / config)])
+    assert code == 2
+    assert "config error: field base_seed must be >= 0" in capsys.readouterr().err
 
 
 def test_export_dataset(tmp_path, scenario_file):

@@ -59,7 +59,7 @@ class TestParsing:
         cfg = parse_scenario_config(base_scenario())
         assert cfg.name == "unit"
         assert cfg.runs == 3
-        assert cfg.solver.bounds[2] == (0.0, 10.0)
+        assert cfg.bounds[2] == (0.0, 10.0)
 
     def test_unknown_top_level_field_rejected(self):
         with pytest.raises(ConfigError, match="sedd"):

@@ -11,12 +11,11 @@ from pseudolat.geometry import (
     linear_mirror,
     sample_trajectory,
 )
-from pseudolat import _kernels
+from pseudolat import _kernels, localization
 from pseudolat.harness import parse_scenario_config, run_scenario
 from pseudolat.localization import (
     AnchorRange,
     GeometryError,
-    SolveOptions,
     _box,
     _closed_form_starts,
     crlb,
@@ -28,9 +27,9 @@ from pseudolat.localization import (
 )
 from pseudolat.ranging import NoiseModel, collect_measurements
 
-NOISELESS = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=0.0, seed=0)
-BAND = SolveOptions(bounds=((-150.0, 150.0), (-150.0, 150.0), (0.0, 10.0)))
-PLANE = SolveOptions(bounds=((-400.0, 400.0), (-400.0, 400.0), (0.0, 0.0)))
+NOISELESS = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=0.0)
+BAND = ((-150.0, 150.0), (-150.0, 150.0), (0.0, 10.0))
+PLANE = ((-400.0, 400.0), (-400.0, 400.0), (0.0, 0.0))
 
 
 def circle_measurements(target, seed=0, model=NOISELESS, n=60, center=(0.0, 0.0, 100.0), radius=50.0):
@@ -39,14 +38,14 @@ def circle_measurements(target, seed=0, model=NOISELESS, n=60, center=(0.0, 0.0,
     )
     anchor = sample_trajectory(spec, 0.0, 1.0, n)
     tseries = WaypointSeries(anchor.t, np.tile(target.as_array(), (n, 1)))
-    return collect_measurements(anchor, tseries, [], model)
+    return collect_measurements(anchor, tseries, [], model, seed)
 
 
 def line_measurements(target, spec=None, n=60):
     spec = spec or LinearTrajectory(start=Position3(0, 0, 100), velocity=Position3(10, 0, 0))
     anchor = sample_trajectory(spec, 0.0, 1.0, n)
     tseries = WaypointSeries(anchor.t, np.tile(target.as_array(), (n, 1)))
-    return collect_measurements(anchor, tseries, [], NOISELESS)
+    return collect_measurements(anchor, tseries, [], NOISELESS, 0)
 
 
 class TestResidual:
@@ -92,13 +91,13 @@ class TestResidual:
 
 
 class TestMultilaterate:
-    OPTS = SolveOptions(bounds=((-50.0, 150.0), (-50.0, 150.0), (-50.0, 150.0)), multistart_grid=(3, 3, 3))
+    BOX = ((-50.0, 150.0), (-50.0, 150.0), (-50.0, 150.0))
 
     def test_noiseless_exact(self):
         anchors = [Position3(0, 0, 0), Position3(100, 0, 0), Position3(0, 100, 0), Position3(0, 0, 100)]
         target = Position3(20, 30, 40)
         ranges = [AnchorRange(a, np.linalg.norm(a.as_array() - target.as_array())) for a in anchors]
-        sol = multilaterate(ranges, self.OPTS)
+        sol = multilaterate(ranges, self.BOX)
         assert np.linalg.norm(sol.p_hat.as_array() - target.as_array()) < 1e-6
         assert sol.converged
 
@@ -106,28 +105,28 @@ class TestMultilaterate:
         anchors = [Position3(0, 0, 0), Position3(100, 0, 0), Position3(0, 100, 0), Position3(50, 50, 0)]
         ranges = [AnchorRange(a, 50.0) for a in anchors]
         with pytest.raises(GeometryError):
-            multilaterate(ranges, self.OPTS)
+            multilaterate(ranges, self.BOX)
 
     def test_three_anchors_rejected_in_3d(self):
         anchors = [Position3(0, 0, 0), Position3(100, 0, 0), Position3(0, 100, 0)]
         ranges = [AnchorRange(a, 50.0) for a in anchors]
         with pytest.raises(GeometryError):
-            multilaterate(ranges, self.OPTS)
+            multilaterate(ranges, self.BOX)
 
     def test_2d_mode_with_three_anchors(self):
-        opts = SolveOptions(bounds=((-50.0, 150.0), (-50.0, 150.0), (0.0, 0.0)))
+        bounds = ((-50.0, 150.0), (-50.0, 150.0), (0.0, 0.0))
         anchors = [Position3(0, 0, 30), Position3(100, 0, 30), Position3(0, 100, 30)]
         target = Position3(40, 25, 0)
         ranges = [AnchorRange(a, np.linalg.norm(a.as_array() - target.as_array())) for a in anchors]
-        sol = multilaterate(ranges, opts)
+        sol = multilaterate(ranges, bounds)
         assert np.linalg.norm(sol.p_hat.as_array() - target.as_array()) < 1e-6
 
     def test_collinear_rejected_in_2d(self):
-        opts = SolveOptions(bounds=((-50.0, 150.0), (-50.0, 150.0), (0.0, 0.0)))
+        bounds = ((-50.0, 150.0), (-50.0, 150.0), (0.0, 0.0))
         anchors = [Position3(0, 0, 30), Position3(50, 0, 30), Position3(100, 0, 30)]
         ranges = [AnchorRange(a, 60.0) for a in anchors]
         with pytest.raises(GeometryError):
-            multilaterate(ranges, opts)
+            multilaterate(ranges, bounds)
 
     def test_rmse_tracks_crlb(self):
         # 8 anchors, sigma = 1 m, Monte-Carlo RMSE within 25% of the bound.
@@ -146,15 +145,13 @@ class TestMultilaterate:
                 )
             )
         bound = crlb(anchors, target, lambda d: 1.0)
-        opts = SolveOptions(
-            bounds=((-200.0, 200.0), (-200.0, 200.0), (-200.0, 200.0)), multistart_grid=(3, 3, 3)
-        )
+        bounds = ((-200.0, 200.0), (-200.0, 200.0), (-200.0, 200.0))
         true_d = np.array([np.linalg.norm(a.as_array() - target.as_array()) for a in anchors])
         sq = []
         for _ in range(400):
             d = true_d + rng.normal(0.0, 1.0, true_d.size)
             ranges = [AnchorRange(a, max(di, 0.0)) for a, di in zip(anchors, d)]
-            sol = multilaterate(ranges, opts)
+            sol = multilaterate(ranges, bounds)
             sq.append(np.sum((sol.p_hat.as_array() - target.as_array()) ** 2))
         rmse = math.sqrt(np.mean(sq))
         predicted = math.sqrt(bound.trace)
@@ -239,17 +236,17 @@ class TestPseudoStatic:
         target = Position3(20, -10, 0)
         errors = []
         for seed in range(500):
-            model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=seed)
-            sol = pseudo_multilaterate_static(circle_measurements(target, model=model), BAND)
+            model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0)
+            sol = pseudo_multilaterate_static(circle_measurements(target, seed, model), BAND)
             errors.append(np.linalg.norm(sol.p_hat.as_array() - target.as_array()))
         assert np.median(errors) < 5.0
 
-    def test_noise_free_fixed_point_any_grid(self):
+    def test_noise_free_fixed_point_any_grid(self, monkeypatch):
         target = Position3(-35.0, 42.0, 0.0)
         meas = circle_measurements(target)
         for grid in [(2, 2, 1), (3, 3, 2), (5, 5, 1)]:
-            opts = SolveOptions(bounds=BAND.bounds, multistart_grid=grid)
-            sol = pseudo_multilaterate_static(meas, opts)
+            monkeypatch.setattr(localization, "_FALLBACK_GRID", grid)
+            sol = pseudo_multilaterate_static(meas, BAND)
             assert np.linalg.norm(sol.p_hat.as_array() - target.as_array()) < 1e-6
 
     def test_solver_beats_quarter_meter_grid(self):
@@ -270,8 +267,7 @@ class TestPseudoStatic:
                 RangeMeasurement(float(i), Position3(*anchors[i]), float(d[i]), True)
                 for i in range(k)
             ]
-            opts = SolveOptions(bounds=((-100.0, 100.0), (-100.0, 100.0), (0.0, 0.0)))
-            sol = pseudo_multilaterate_static(meas, opts)
+            sol = pseudo_multilaterate_static(meas, ((-100.0, 100.0), (-100.0, 100.0), (0.0, 0.0)))
 
             axis = np.arange(-100.0, 100.0 + 1e-9, 0.25)
             best = np.inf
@@ -327,7 +323,7 @@ def _mixed_batch(seed=5, n=24):
 
 
 class TestClosedFormStarts:
-    TALL = SolveOptions(bounds=((-300.0, 300.0), (-300.0, 300.0), (-300.0, 300.0)))
+    TALL = ((-300.0, 300.0), (-300.0, 300.0), (-300.0, 300.0))
 
     def test_level_circle_yields_both_z_roots(self):
         # A circle at altitude 100 loses z; the target at z = 0 and its
@@ -369,16 +365,16 @@ class TestClosedFormStarts:
         assert counts[0] == 0
         calls = _record_kernel_calls(monkeypatch)
         pseudo_multilaterate_static_batch(anchors[None], d[None], BAND)
-        assert calls == [(1, len(BAND.start_points()))]
+        assert calls == [(1, 25)]  # the 5 x 5 x 1 fallback grid
 
     def test_unconverged_closed_form_takes_the_grid(self, monkeypatch):
         # One iteration cannot converge a noisy solve, so the grid runs too
         # and the solution says it did not converge.
-        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=3)
-        anchors, d = _arrays(circle_measurements(Position3(20, -10, 0), model=model))
+        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0)
+        anchors, d = _arrays(circle_measurements(Position3(20, -10, 0), seed=3, model=model))
         calls = _record_kernel_calls(monkeypatch, max_iter=1)
         sol = pseudo_multilaterate_static_batch(anchors[None], d[None], BAND)[0]
-        assert calls == [(1, 2), (1, len(BAND.start_points()))]
+        assert calls == [(1, 2), (1, 25)]
         assert not sol.converged
 
     def test_noisy_solves_report_converged(self):
@@ -408,7 +404,7 @@ class TestClosedFormStarts:
             pick = np.isin(kinds, group)
             pseudo_multilaterate_static_batch(anchors[pick], d[pick], BAND)
         ranges = [AnchorRange(Position3(*a), float(di)) for a, di in zip(anchors[1, :6], d[1, :6])]
-        multilaterate(ranges, SolveOptions(bounds=((-200.0, 200.0),) * 3))
+        multilaterate(ranges, ((-200.0, 200.0),) * 3)
         cfg = {
             "version": 1,
             "trajectory": {"kind": "circular", "center": [300.0, 0.0, 40.0], "radius": 50.0,

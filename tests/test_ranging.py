@@ -19,7 +19,7 @@ from pseudolat.ranging import (
     los_blocked,
 )
 
-NOISELESS = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=0.0, seed=0)
+NOISELESS = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=0.0)
 
 
 def box(lo, hi):
@@ -49,13 +49,13 @@ class TestLosBlocked:
         assert not los_blocked(Position3(0, 0, 100), Position3(5, 5, 0), [])
 
 
-def ranges_at(d_true: float, n: int, model: NoiseModel, blocked: bool):
+def ranges_at(d_true: float, n: int, model: NoiseModel, seed: int, blocked: bool):
     """One array call of ``_ranges``: n anchors straight above the target
     at height ``d_true``; a slab between them blocks every sample."""
     anchor_p = np.tile([0.0, 0.0, d_true], (n, 1))
     target_p = np.zeros((n, 3))
     slab = [box((-1, -1, 0.25 * d_true), (1, 1, 0.75 * d_true))] if blocked else []
-    d, los = _ranges(anchor_p, target_p, slab, model)
+    d, los = _ranges(anchor_p, target_p, slab, model, seed)
     assert np.all(los != blocked)
     return d
 
@@ -65,25 +65,25 @@ class TestNoiseDraws:
         rng = np.random.default_rng(0)
         anchor_p = rng.uniform(-100, 100, (50, 3)) + [0.0, 0.0, 300.0]
         target_p = rng.uniform(-100, 100, (50, 3))
-        d, _ = _ranges(anchor_p, target_p, [], NOISELESS)
+        d, _ = _ranges(anchor_p, target_p, [], NOISELESS, 0)
         assert np.array_equal(d, _distances(anchor_p, target_p))
-        assert np.all(ranges_at(120.0, 10, NOISELESS, blocked=True) == 120.0)
+        assert np.all(ranges_at(120.0, 10, NOISELESS, 0, blocked=True) == 120.0)
 
     def test_std_matches_affine_model(self):
         # Monte-Carlo estimate of sigma0 + eta*d at d = 200.
-        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=0.0, seed=42)
-        d = ranges_at(200.0, 100_000, model, blocked=False)
+        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=0.0)
+        d = ranges_at(200.0, 100_000, model, 42, blocked=False)
         assert abs(np.std(d - 200.0) - 3.0) < 0.05
 
     def test_nlos_bias_mean(self):
         # Law of large numbers on the exponential bias, Gaussian part off.
-        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=5.0, seed=43)
-        d = ranges_at(120.0, 100_000, model, blocked=True)
+        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=5.0)
+        d = ranges_at(120.0, 100_000, model, 43, blocked=True)
         assert abs(np.mean(d) - (120.0 + 5.0)) < 0.1
 
     def test_nlos_bias_nonnegative(self):
-        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=7.0, seed=44)
-        d = ranges_at(50.0, 5_000, model, blocked=True)
+        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=7.0)
+        d = ranges_at(50.0, 5_000, model, 44, blocked=True)
         assert np.all(d >= 50.0)
 
 
@@ -96,7 +96,7 @@ class TestCollect:
     def test_static_noiseless_matches_geometry(self, static_series):
         _, anchor = circle_60()
         target = Position3(20, -10, 0)
-        meas = collect_measurements(anchor, static_series(anchor.t, target), [], NOISELESS)
+        meas = collect_measurements(anchor, static_series(anchor.t, target), [], NOISELESS, 0)
         for k, m in enumerate(meas):
             d = np.linalg.norm(anchor.p[k] - target.as_array())
             assert m.d_meas == pytest.approx(d, abs=1e-12)
@@ -109,7 +109,7 @@ class TestCollect:
         v = np.array([0.5, 0.2, 0.0])
         start = np.array([5.0, 5.0, 0.0])
         target_p = start[None, :] + anchor.t[:, None] * v[None, :]
-        meas = collect_measurements(anchor, WaypointSeries(anchor.t, target_p), [], NOISELESS)
+        meas = collect_measurements(anchor, WaypointSeries(anchor.t, target_p), [], NOISELESS, 0)
         for k, m in enumerate(meas):
             assert m.d_meas == pytest.approx(np.linalg.norm(anchor.p[k] - target_p[k]), abs=1e-12)
 
@@ -117,21 +117,21 @@ class TestCollect:
         _, anchor = circle_60()
         bad = static_series(anchor.t + 0.5, Position3(0, 0, 0))
         with pytest.raises(ValueError):
-            collect_measurements(anchor, bad, [], NOISELESS)
+            collect_measurements(anchor, bad, [], NOISELESS, 0)
 
     def test_determinism(self, static_series):
         _, anchor = circle_60()
         target = static_series(anchor.t, Position3(30, 0, 0))
-        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=99)
-        a = collect_measurements(anchor, target, [], model)
-        b = collect_measurements(anchor, target, [], model)
+        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0)
+        a = collect_measurements(anchor, target, [], model, 99)
+        b = collect_measurements(anchor, target, [], model, 99)
         assert [m.d_meas for m in a] == [m.d_meas for m in b]
 
     def test_obstacle_stripe_matches_oracle_and_is_contiguous(self, static_series):
         _, anchor = circle_60()
         target = Position3(60, 0, 0)
         wall = box((0, -10, 0), (10, 10, 70))
-        meas = collect_measurements(anchor, static_series(anchor.t, target), [wall], NOISELESS)
+        meas = collect_measurements(anchor, static_series(anchor.t, target), [wall], NOISELESS, 0)
         # Independent per-sample oracle: brute-force points along each segment.
         lo, hi = np.array([0.0, -10.0, 0.0]), np.array([10.0, 10.0, 70.0])
         flags = []
@@ -149,23 +149,23 @@ class TestCollect:
         _, anchor = circle_60()
         target = Position3(60, 0, 0)
         wall = box((0, -10, 0), (10, 10, 70))
-        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=6.0, seed=3)
-        meas = collect_measurements(anchor, static_series(anchor.t, target), [wall], model)
+        model = NoiseModel(sigma0=0.0, eta=0.0, nlos_bias_mean=6.0)
+        meas = collect_measurements(anchor, static_series(anchor.t, target), [wall], model, 3)
         for k, m in enumerate(meas):
             d_true = np.linalg.norm(anchor.p[k] - target.as_array())
             if not m.los:
                 assert m.d_meas >= d_true
 
 
-def assert_matches_reference(anchor_p, target_p, obstacles, model):
+def assert_matches_reference(anchor_p, target_p, obstacles, model, seed):
     """The array path and the per-sample reference agree bit for bit."""
     t = np.arange(len(anchor_p), dtype=np.float64)
     anchor, target = WaypointSeries(t, anchor_p), WaypointSeries(t, target_p)
-    want = reference.collect_measurements(anchor, target, obstacles, model)
-    d, los = _ranges(anchor.p, target.p, obstacles, model)
+    want = reference.collect_measurements(anchor, target, obstacles, model, seed)
+    d, los = _ranges(anchor.p, target.p, obstacles, model, seed)
     assert np.array_equal(d.view(np.uint64), np.array([m.d_meas for m in want]).view(np.uint64))
     assert los.tolist() == [m.los for m in want]
-    assert collect_measurements(anchor, target, obstacles, model) == want
+    assert collect_measurements(anchor, target, obstacles, model, seed) == want
     for k in range(len(t)):
         a, b = anchor.position(k), target.position(k)
         assert los_blocked(a, b, obstacles) is reference.los_blocked(a, b, obstacles)
@@ -180,17 +180,18 @@ _FIRST_TWO = box((-0.5, -1, 3), (1.5, 1, 5))
 _LAST = box((5.5, -1, 3), (7, 1, 5))
 _FACE = box((3, -1, 3), (4, 1, 5))  # segments 3 and 4 lie in its x faces
 _ALL = box((-1, -1, 2), (7, 1, 8))
+# (model, seed) pairs
 _MODELS = [
-    NOISELESS,  # d_meas is d_true, bit for bit
-    NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=7),
-    NoiseModel(sigma0=0.5, eta=0.0, nlos_bias_mean=0.0, seed=8),
+    (NOISELESS, 0),  # d_meas is d_true, bit for bit
+    (NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0), 7),
+    (NoiseModel(sigma0=0.5, eta=0.0, nlos_bias_mean=0.0), 8),
     # sigma well above the ranges: many draws clamp to 0
-    NoiseModel(sigma0=30.0, eta=0.5, nlos_bias_mean=2.0, seed=9),
+    (NoiseModel(sigma0=30.0, eta=0.5, nlos_bias_mean=2.0), 9),
 ]
 
 
 class TestArrayRanges:
-    @pytest.mark.parametrize("model", _MODELS)
+    @pytest.mark.parametrize("model, seed", _MODELS)
     @pytest.mark.parametrize(
         "obstacles, blocked",
         [
@@ -201,22 +202,23 @@ class TestArrayRanges:
             ([_ALL, _LAST], list(range(7))),
         ],
     )
-    def test_vertical_segments_match_reference(self, model, obstacles, blocked):
-        los = assert_matches_reference(_COLUMN, _GROUND, obstacles, model)
+    def test_vertical_segments_match_reference(self, model, seed, obstacles, blocked):
+        los = assert_matches_reference(_COLUMN, _GROUND, obstacles, model, seed)
         assert np.flatnonzero(~los).tolist() == blocked
 
-    @pytest.mark.parametrize("model", _MODELS)
-    def test_circle_with_wall_matches_reference(self, static_series, model):
+    @pytest.mark.parametrize("model, seed", _MODELS)
+    def test_circle_with_wall_matches_reference(self, static_series, model, seed):
         _, anchor = circle_60()
         target = static_series(anchor.t, Position3(60, 0, 0))
-        los = assert_matches_reference(anchor.p, target.p, [box((0, -10, 0), (10, 10, 70))], model)
+        wall = box((0, -10, 0), (10, 10, 70))
+        los = assert_matches_reference(anchor.p, target.p, [wall], model, seed)
         assert 0 < np.count_nonzero(~los) < 60
 
     def test_slanted_segment_touching_an_edge_is_blocked(self):
         # (-1, 0, 2) -> (1, 0, 0) passes through (0, 0, 1), the box's lower x-z edge.
         edge = box((0, -1, 1), (1, 1, 2))
         los = assert_matches_reference(
-            np.array([[-1.0, 0.0, 2.0]]), np.array([[1.0, 0.0, 0.0]]), [edge], _MODELS[1]
+            np.array([[-1.0, 0.0, 2.0]]), np.array([[1.0, 0.0, 0.0]]), [edge], *_MODELS[1]
         )
         assert not los[0]
 
@@ -225,7 +227,7 @@ class TestArrayRanges:
         anchor_p = np.array([[0.0, 0.0, 5.0], [3.0, 4.0, 0.0], [1.0, 0.0, 5.0]])
         target_p = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="anchor and target must not coincide"):
-            _ranges(anchor_p, target_p, obstacles, _MODELS[1])
+            _ranges(anchor_p, target_p, obstacles, *_MODELS[1])
 
     @pytest.mark.parametrize("side", ["anchor", "target"])
     def test_non_finite_position_rejected(self, side):
@@ -234,7 +236,7 @@ class TestArrayRanges:
         target_p = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         {"anchor": anchor_p, "target": target_p}[side][1, 0] = np.inf
         with pytest.raises(ValueError, match="must be finite"):
-            _ranges(anchor_p, target_p, [], _MODELS[1])
+            _ranges(anchor_p, target_p, [], *_MODELS[1])
 
 
 @st.composite
@@ -271,9 +273,9 @@ def ranging_cases(draw):
         sigma0=draw(st.sampled_from([0.0, 0.5, 1.0, 30.0])),
         eta=draw(st.sampled_from([0.0, 0.01, 0.5])),
         nlos_bias_mean=draw(st.sampled_from([0.0, 5.0])),
-        seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return anchor_p, target_p, obstacles, model
+    seed = draw(st.integers(0, 2**32 - 1))
+    return anchor_p, target_p, obstacles, model, seed
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -286,8 +288,8 @@ class TestExport:
     def _matrices(self, static_series):
         _, anchor = circle_60()
         target = Position3(17.25, -3.5, 0.0)
-        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0, seed=11)
-        d, los = _ranges(anchor.p, static_series(anchor.t, target).p, [], model)
+        model = NoiseModel(sigma0=1.0, eta=0.01, nlos_bias_mean=5.0)
+        d, los = _ranges(anchor.p, static_series(anchor.t, target).p, [], model, 11)
         rows = np.column_stack([anchor.p, d])
         return [
             MeasurementMatrix(rows=rows[:30], los=los[:30], revolution=0, label=target),

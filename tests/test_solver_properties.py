@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from pseudolat.geometry import Position3
 from pseudolat.localization import (
     AnchorRange,
-    SolveOptions,
     multilaterate,
     pseudo_multilaterate_static,
 )
@@ -69,12 +68,12 @@ shifts = st.tuples(_floats(-500, 500), _floats(-500, 500), _floats(-50, 50)).map
 
 def _static(anchors, d, bounds):
     meas = [RangeMeasurement(float(i), Position3(*a), float(di), True) for i, (a, di) in enumerate(zip(anchors, d))]
-    return pseudo_multilaterate_static(meas, SolveOptions(bounds=bounds))
+    return pseudo_multilaterate_static(meas, bounds)
 
 
 def _multi(anchors, d, bounds):
     ranges = [AnchorRange(Position3(*a), float(di)) for a, di in zip(anchors, d)]
-    return multilaterate(ranges, SolveOptions(bounds=bounds))
+    return multilaterate(ranges, bounds)
 
 
 def _shifted(bounds, v):
