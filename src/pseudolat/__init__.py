@@ -47,7 +47,6 @@ from .waveform import (
     NlosEnsemble,
     Path,
     PathSet,
-    ToaEstimate,
     WaveformConfig,
     apply_channel,
     estimate_toa,
@@ -55,7 +54,6 @@ from .waveform import (
     make_pilot,
     ranging_error_trial,
     sfft,
-    toa_to_distance,
 )
 
 __version__ = "0.1.0"

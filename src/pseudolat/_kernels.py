@@ -26,6 +26,16 @@ from __future__ import annotations
 
 import numpy as np
 
+# LM settings: iteration cap, absolute gradient and step tolerances, and
+# initial damping.
+_MAX_ITER = 200
+_GRAD_TOL = 1e-9
+_STEP_TOL = 1e-12
+_DAMPING0 = 1e-3
+# A start converged when its masked gradient norm meets _GRAD_TOL or is below
+# this fraction of 2 sqrt(K f), which bounds ||2 J^T r|| because every row of
+# J is a unit vector: noisy residuals put the absolute floor out of reach.
+_REL_GRAD_TOL = 1e-6
 _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e14
 _DIST_FLOOR = 1e-12
@@ -57,35 +67,33 @@ def _frozen_axes(P, g, lo, hi):
     return pinned[None, :] | at_lo | at_hi
 
 
-def _lm_solve_lanes(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0):
+def _lm_solve_lanes(anchors, d, starts, lo, hi):
     """Solve every start of every problem: anchors (B, K, 3), d (B, K),
     starts (B, S, 3); outputs are flat over lanes (problem, start)."""
     B, S = starts.shape[:2]
     prob = np.repeat(np.arange(B), S)  # lane = problem * S + start
     P = np.clip(starts.reshape(-1, 3), lo, hi)
     L = P.shape[0]
-    lam = np.full(L, damping0)
+    lam = np.full(L, _DAMPING0)
     iters = np.zeros(L, dtype=np.int64)
     lane = np.arange(L)
 
     out_p = np.empty((L, 3))
     out_f = np.empty(L)
     out_g = np.full(L, np.inf)
-    out_conv = np.zeros(L, dtype=np.bool_)
     out_iters = np.zeros(L, dtype=np.int64)
 
     diff, dist, r, f = _residuals(P, anchors, d, prob)
     gm = np.full(L, np.inf)
     eye = np.eye(3)
 
-    def retire(done, converged):
+    def retire(done):
         # Write finished lanes out by lane index, keep the rest.
         nonlocal prob, P, f, diff, dist, r, lam, iters, lane, gm
         idx = lane[done]
         out_p[idx] = P[done]
         out_f[idx] = f[done]
         out_g[idx] = gm[done]
-        out_conv[idx] = converged
         out_iters[idx] = iters[done]
         keep = ~done
         # one array at a time, so each old copy is freed before the next
@@ -95,16 +103,16 @@ def _lm_solve_lanes(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, da
         prob = prob[keep]
         return keep
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if lane.size == 0:
             break
         J = diff / dist[:, :, None]  # (L, K, 3)
         g = 2.0 * np.einsum("ski,sk->si", J, r)
         frozen = _frozen_axes(P, g, lo, hi)
         gm = np.sqrt(np.sum(np.where(frozen, 0.0, g) ** 2, axis=1))
-        newly = gm < grad_tol
+        newly = gm < _GRAD_TOL
         if np.any(newly):
-            keep = retire(newly, True)
+            keep = retire(newly)
             if lane.size == 0:
                 break
             J, frozen = J[keep], frozen[keep]
@@ -130,16 +138,17 @@ def _lm_solve_lanes(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, da
         del difft, distt, rt
         lam = np.where(accept, np.maximum(lam * 0.25, _LAMBDA_MIN), lam * 4.0)
 
-        stalled = (accept & (step < step_tol)) | (lam > _LAMBDA_MAX)
+        stalled = (accept & (step < _STEP_TOL)) | (lam > _LAMBDA_MAX)
         iters += ~stalled
         if np.any(stalled):
-            retire(stalled, False)
+            retire(stalled)
 
-    retire(np.ones(lane.size, dtype=np.bool_), False)
-    return out_p, out_f, out_g, out_conv, out_iters
+    retire(np.ones(lane.size, dtype=np.bool_))
+    conv = (out_g <= _GRAD_TOL) | (out_g <= _REL_GRAD_TOL * 2.0 * np.sqrt(anchors.shape[1] * out_f))
+    return out_p, out_f, out_g, conv, out_iters
 
 
-def lm_solve_batch(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0):
+def lm_solve_batch(anchors, d, starts, lo, hi):
     """Run the damped Gauss-Newton solver from every start of every problem.
 
     ``anchors`` is (K, 3) for one problem or (B, K, 3) for B problems with
@@ -162,11 +171,7 @@ def lm_solve_batch(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, dam
     # an empty batch still makes one (empty) pass so the outputs keep their shapes
     for b0 in range(0, max(B, 1), per_call):
         sl = slice(b0, b0 + per_call)
-        parts.append(
-            _lm_solve_lanes(
-                anchors[sl], d[sl], starts[sl], lo, hi, max_iter, grad_tol, step_tol, damping0
-            )
-        )
+        parts.append(_lm_solve_lanes(anchors[sl], d[sl], starts[sl], lo, hi))
     outs = [np.concatenate(arrays) for arrays in zip(*parts)]
     shape = (S,) if single else (B, S)
     return tuple(o.reshape(shape + o.shape[1:]) for o in outs)

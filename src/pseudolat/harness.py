@@ -42,6 +42,7 @@ from .ranging import (
 )
 from .relocation import RelocationPolicy, predict_target, relocate
 from .waveform import (
+    C_LIGHT,
     DetectionFailure,
     NlosEnsemble,
     WaveformConfig,
@@ -49,7 +50,6 @@ from .waveform import (
     estimate_toa,
     make_pilot,
     ranging_error_trial,
-    toa_to_distance,
 )
 
 __all__ = [
@@ -92,9 +92,6 @@ class StaticTarget:
     def path_at(self, t: np.ndarray) -> np.ndarray:
         return np.tile(self.position.as_array(), (t.size, 1))
 
-    def position_at(self, t: float) -> Position3:
-        return self.position
-
 
 @dataclass(frozen=True)
 class LinearTarget:
@@ -103,9 +100,6 @@ class LinearTarget:
 
     def path_at(self, t: np.ndarray) -> np.ndarray:
         return self.start.as_array()[None, :] + t[:, None] * self.velocity.as_array()[None, :]
-
-    def position_at(self, t: float) -> Position3:
-        return Position3.from_array(self.start.as_array() + t * self.velocity.as_array())
 
 
 @dataclass(frozen=True)
@@ -411,6 +405,8 @@ def parse_compare_config(raw: dict) -> CompareConfig:
     for i, df in enumerate(cfg.spacings_hz):
         if df <= 0:
             raise ConfigError(f"field spacings_hz[{i}] must be > 0")
+        if df in cfg.spacings_hz[:i]:  # results are keyed by (scheme, spacing)
+            raise ConfigError(f"field spacings_hz[{i}] repeats an earlier spacing")
     return cfg
 
 
@@ -530,7 +526,7 @@ def _collect_waveform_backed(
     for k in range(d.size):
         paths = backend.ensemble.draw_paths(float(d_true[k]), cfg.carrier_freq, rng, los=bool(los[k]))
         received = apply_channel(pilot, paths, cfg, rng)
-        d[k] = toa_to_distance(estimate_toa(received, cfg))
+        d[k] = C_LIGHT * estimate_toa(received, cfg)
     return d, los
 
 
@@ -558,8 +554,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """Execute all Monte-Carlo runs of a scenario and aggregate metrics.
 
     All runs share one timeline, because relocation keeps the angular
-    speed: the target path and its midpoint truth are computed once per
-    revolution. Every run ranges along its own circle with its own
+    speed: the target path is computed once per revolution, and the truth
+    at every revolution's midpoint once. Every run ranges along its own circle with its own
     (base_seed, run, revolution) seed, all runs are solved in one batched
     call, and a relocation policy then re-centres each run's circle.
     Waveform-backed ranging spreads the runs over threads (``_map_indexed``);
@@ -570,6 +566,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     n_samples = cfg.samples_per_rev()
     specs = [cfg.trajectory] * cfg.runs
     starts, t_mid = _revolution_clock(cfg)
+    truth = cfg.target.path_at(t_mid)
     est = np.empty((cfg.runs, cfg.n_revolutions, 3))
     errors = np.empty((cfg.runs, cfg.n_revolutions))
     waveform_backed = isinstance(cfg.noise, WaveformRanging)
@@ -590,7 +587,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             d = np.stack([measure(run) for run in range(cfg.runs)])
         anchors = np.stack([path.p for path in anchor_paths])
         sols = pseudo_multilaterate_static_batch(anchors, d, cfg.bounds)
-        true_mid = cfg.target.position_at(t_mid[rev])
+        true_mid = Position3.from_array(truth[rev])
         for run, sol in enumerate(sols):
             est[run, rev] = sol.p_hat.as_array()
             errors[run, rev] = distance(sol.p_hat, true_mid)
@@ -627,10 +624,11 @@ def scenario_matrices(cfg: ScenarioConfig) -> list[MeasurementMatrix]:
     target_p = cfg.target.path_at(np.concatenate([path.t for path in paths]))
     d, los = _collect(cfg, anchor_p, target_p, _derived_seed(cfg.base_seed, 0, 0))
     rows = np.column_stack([anchor_p, d])
+    truth = cfg.target.path_at(t_mid)
     matrices = []
     for r in range(cfg.n_revolutions):
         cut = slice(r * n_samples, (r + 1) * n_samples)
-        label = cfg.target.position_at(t_mid[r])
+        label = Position3.from_array(truth[r])
         matrices.append(MeasurementMatrix(rows=rows[cut], los=los[cut], revolution=r, label=label))
     return matrices
 

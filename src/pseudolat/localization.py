@@ -46,15 +46,6 @@ _FALLBACK_GRID = (5, 5, 1)
 # the squared-range system has lost; a quadratic's leading coefficient
 # below it counts as vanished.
 _RANK_TOL = 1e-9
-# LM settings: iteration cap, absolute gradient and step tolerances, and
-# initial damping (see ``_kernels.lm_solve_batch``).
-_MAX_ITER = 200
-_GRAD_TOL = 1e-9
-_STEP_TOL = 1e-12
-_DAMPING0 = 1e-3
-# Scale-aware convergence: a masked gradient norm below this fraction of
-# 2 sqrt(K f) (see ``_lm``).
-_REL_GRAD_TOL = 1e-6
 # Distinct minima lie more than _AMBIGUITY_MIN_SEP m apart; one whose residual
 # is within the relative and absolute tolerances of the best is an alternate.
 _AMBIGUITY_MIN_SEP = 1.0
@@ -219,21 +210,6 @@ def _closed_form_starts(anchors: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: 
     return starts, counts
 
 
-def _lm(anchors: np.ndarray, d: np.ndarray, starts: np.ndarray, lo, hi):
-    """LM endpoints and residuals of every start, and which converged.
-
-    A start converged when its masked gradient norm g meets ``_GRAD_TOL`` or
-    is below ``_REL_GRAD_TOL`` of 2 sqrt(K f), which bounds ||2 J^T r||
-    because every row of J is a unit vector: noisy residuals put an absolute
-    gradient floor out of reach even at the optimum.
-    """
-    points, f, g, _, _ = _kernels.lm_solve_batch(
-        anchors, d, starts, lo, hi, _MAX_ITER, _GRAD_TOL, _STEP_TOL, _DAMPING0
-    )
-    conv = (g <= _GRAD_TOL) | (g <= _REL_GRAD_TOL * 2.0 * np.sqrt(anchors.shape[1] * f))
-    return points, f, conv
-
-
 def _solve_clusters(anchors: np.ndarray, d: np.ndarray, bounds: Bounds):
     """Clustered minima of each problem: anchors (B, K, 3), d (B, K).
 
@@ -247,7 +223,7 @@ def _solve_clusters(anchors: np.ndarray, d: np.ndarray, bounds: Bounds):
     fallback = counts == 0
 
     def solve(idx, starts_idx):
-        points, f, conv = _lm(anchors[idx], d[idx], starts_idx, lo, hi)
+        points, f, _, conv, _ = _kernels.lm_solve_batch(anchors[idx], d[idx], starts_idx, lo, hi)
         for i, b in enumerate(idx):
             ends[b] = (points[i], f[i], conv[i])
         return conv

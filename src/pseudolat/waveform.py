@@ -30,7 +30,6 @@ __all__ = [
     "WaveformConfig",
     "Path",
     "PathSet",
-    "ToaEstimate",
     "DetectionFailure",
     "NlosEnsemble",
     "isfft",
@@ -38,7 +37,6 @@ __all__ = [
     "make_pilot",
     "apply_channel",
     "estimate_toa",
-    "toa_to_distance",
     "ranging_error_trial",
 ]
 
@@ -134,17 +132,6 @@ class PathSet:
     @property
     def first_arrival(self) -> float:
         return min(p.delay for p in self.paths if abs(p.gain) > 0)
-
-
-@dataclass(frozen=True)
-class ToaEstimate:
-    toa: float
-    peak_metric: float
-    scheme: str
-
-    def __post_init__(self):
-        if self.toa < 0:
-            raise ValueError("toa must be >= 0")
 
 
 class DetectionFailure(RuntimeError):
@@ -337,7 +324,7 @@ def _delay_profile(received: np.ndarray, cfg: WaveformConfig):
     return profile, mag
 
 
-def _pick_first_arrival(profile: np.ndarray, interp, cfg: WaveformConfig) -> tuple[float, float]:
+def _pick_first_arrival(profile: np.ndarray, interp, cfg: WaveformConfig) -> float:
     n = profile.size
     peak = float(profile.max())
     if not np.isfinite(peak) or peak <= 0.0:
@@ -357,20 +344,14 @@ def _pick_first_arrival(profile: np.ndarray, interp, cfg: WaveformConfig) -> tup
     denom = v_m - 2.0 * v_0 + v_p
     delta = 0.5 * (v_m - v_p) / denom if denom < 0 else 0.0
     delta = min(max(delta, -0.5), 0.5)
-    return max(i0 + delta, 0.0), v_0
+    return max(i0 + delta, 0.0)
 
 
-def estimate_toa(received: np.ndarray, cfg: WaveformConfig) -> ToaEstimate:
-    """First-arrival delay estimate from a received pilot frame."""
+def estimate_toa(received: np.ndarray, cfg: WaveformConfig) -> float:
+    """First-arrival delay estimate (s, >= 0) from a received pilot frame."""
     received = np.asarray(received, dtype=np.complex128)
     profile, interp = _delay_profile(received, cfg)
-    l_hat, metric = _pick_first_arrival(profile, interp, cfg)
-    return ToaEstimate(toa=l_hat * cfg.delay_bin_s, peak_metric=metric, scheme=cfg.scheme)
-
-
-def toa_to_distance(est: ToaEstimate) -> float:
-    """Distance implied by a ToA estimate: c times the delay."""
-    return C_LIGHT * est.toa
+    return _pick_first_arrival(profile, interp, cfg) * cfg.delay_bin_s
 
 
 def ranging_error_trial(
@@ -382,8 +363,7 @@ def ranging_error_trial(
     """One end-to-end trial: pilot -> channel -> ToA -> |c*toa - d_true|."""
     pilot = make_pilot(cfg)
     received = apply_channel(pilot, paths, cfg, rng)
-    est = estimate_toa(received, cfg)
-    return abs(toa_to_distance(est) - d_true)
+    return abs(C_LIGHT * estimate_toa(received, cfg) - d_true)
 
 
 @dataclass(frozen=True)

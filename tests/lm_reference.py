@@ -13,6 +13,7 @@ _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e14
 _DIST_FLOOR = 1e-12
 _FACE_EPS = 1e-12
+_REL_GRAD_TOL = 1e-6
 
 
 def _lm_solve_batch_loops(anchors, d, starts, lo, hi, max_iter, grad_tol, step_tol, damping0):
@@ -41,7 +42,6 @@ def _lm_solve_batch_loops(anchors, d, starts, lo, hi, max_iter, grad_tol, step_t
 
         gm = np.inf
         it = 0
-        converged = False
         while it < max_iter:
             A = np.zeros((3, 3))
             b = np.zeros(3)
@@ -82,7 +82,6 @@ def _lm_solve_batch_loops(anchors, d, starts, lo, hi, max_iter, grad_tol, step_t
                     gm += g[i] * g[i]
             gm = np.sqrt(gm)
             if gm < grad_tol:
-                converged = True
                 break
 
             # Drop frozen axes from the damped normal equations.
@@ -129,7 +128,9 @@ def _lm_solve_batch_loops(anchors, d, starts, lo, hi, max_iter, grad_tol, step_t
         out_p[s] = p
         out_f[s] = f
         out_g[s] = gm
-        out_conv[s] = converged
+        # converged: the absolute tolerance, or the scale-aware bound
+        # gm <= _REL_GRAD_TOL * 2 sqrt(K f) on ||2 J^T r||
+        out_conv[s] = gm <= grad_tol or gm <= _REL_GRAD_TOL * 2.0 * np.sqrt(K * f)
         out_iters[s] = it
     return out_p, out_f, out_g, out_conv, out_iters
 

@@ -229,6 +229,7 @@ _MALFORMED = {
     "huge-int-dt": ("simulate", ("dt",), 10**400, "dt"),
     "spacing-negative": ("compare", ("spacings_hz", 1), -1.0, "spacings_hz[1]"),
     "spacing-zero": ("compare", ("spacings_hz", 0), 0.0, "spacings_hz[0]"),
+    "spacing-duplicate": ("compare", ("spacings_hz", 1), 30000.0, "field spacings_hz[1]"),
     "seed-negative-simulate": ("simulate", ("base_seed",), -1, "base_seed"),
     "seed-negative-compare": ("compare", ("base_seed",), -3, "base_seed"),
 }

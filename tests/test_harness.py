@@ -345,19 +345,20 @@ class TestRunScenario:
 
 
 @pytest.mark.parametrize(
-    "target",
+    "target, velocity",
     [
-        StaticTarget(Position3(20.0, -10.0, 0.0)),
-        LinearTarget(Position3(20.0, -10.0, 0.0), Position3(0.5, -0.2, 0.0)),
+        (StaticTarget(Position3(20.0, -10.0, 0.0)), (0.0, 0.0, 0.0)),
+        (LinearTarget(Position3(20.0, -10.0, 0.0), Position3(0.5, -0.2, 0.0)), (0.5, -0.2, 0.0)),
     ],
 )
-def test_path_at_matches_position_at(target):
+def test_path_at_matches_closed_form(target, velocity):
     # The times of revolution 2 at dt = 0.7, where the clock is inexact.
     t = 120.39999999999999 + 0.7 * np.arange(86)
     path = target.path_at(t)
     assert path.shape == (86, 3)
+    start, velocity = np.array([20.0, -10.0, 0.0]), np.array(velocity)
     for k in range(t.size):
-        assert path[k].tobytes() == target.position_at(float(t[k])).as_array().tobytes()
+        assert path[k].tobytes() == (start + float(t[k]) * velocity).tobytes()
 
 
 class TestMatrices:

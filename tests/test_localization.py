@@ -286,18 +286,20 @@ def _arrays(meas):
 
 def _record_kernel_calls(monkeypatch, max_iter=None):
     """Record (problems, starts) of every kernel call and refuse empty ones.
-    ``max_iter``, if given, replaces every call's iteration cap."""
+    ``max_iter``, if given, replaces the kernel's iteration cap."""
     calls = []
     solve = _kernels.lm_solve_batch
 
-    def recording(anchors, d, starts, lo, hi, iters, *tols):
+    def recording(anchors, d, starts, lo, hi):
         shape = np.shape(anchors)
         problems = 1 if len(shape) == 2 else shape[0]
         assert problems > 0, "kernel called with zero problems"
         calls.append((problems, np.shape(starts)[-2]))
-        return solve(anchors, d, starts, lo, hi, iters if max_iter is None else max_iter, *tols)
+        return solve(anchors, d, starts, lo, hi)
 
     monkeypatch.setattr(_kernels, "lm_solve_batch", recording)
+    if max_iter is not None:
+        monkeypatch.setattr(_kernels, "_MAX_ITER", max_iter)
     return calls
 
 

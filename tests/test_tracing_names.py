@@ -7,12 +7,14 @@ from its file and used as it is; nothing under ``perfbench/`` is written.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +54,23 @@ def test_install_then_uninstall_restores_every_namespace(tracing):
         assert after[name].keys() == ns.keys(), name
         changed = [attr for attr, value in ns.items() if after[name][attr] is not value]
         assert not changed, f"{name}: {changed} not restored"
+
+
+def test_tracer_reads_the_kernel_outputs(tracing):
+    # The tracer unpacks what lm_solve_batch returns into its LM counters;
+    # a change to the kernel's outputs must show here, not only in perfbench.
+    from pseudolat import harness
+
+    raw = json.loads((ROOT / "configs" / "circular_static.json").read_text())
+    raw["runs"] = 3
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        harness.run_scenario(harness.parse_scenario_config(raw))
+    finally:
+        tracer.uninstall()
+    counters, _ = tracing.layer_metrics(tracer, 1)
+    assert counters["localization.lm_solve_batch.calls"] > 0
+    assert counters["localization.lm_solve_batch.starts"] > 0
+    assert counters["localization.lm_solve_batch.start_iters"] > 0
+    assert 0 < counters["localization.lm_solve_batch.conv_frac"] <= 1

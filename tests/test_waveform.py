@@ -13,7 +13,6 @@ from pseudolat.waveform import (
     NlosEnsemble,
     Path,
     PathSet,
-    ToaEstimate,
     WaveformConfig,
     _delay_profile,
     _phase_ramp,
@@ -23,7 +22,6 @@ from pseudolat.waveform import (
     make_pilot,
     ranging_error_trial,
     sfft,
-    toa_to_distance,
 )
 
 OFDM = WaveformConfig(scheme="ofdm")
@@ -35,8 +33,8 @@ def single_path(cfg, delay_samples, doppler=0.0, gain=1 + 0j, snr_db=math.inf):
     return PathSet((Path(delay=delay, doppler=doppler, gain=gain),), snr_db=snr_db)
 
 
-def toa_in_bins(est: ToaEstimate, cfg: WaveformConfig) -> float:
-    return est.toa / cfg.delay_bin_s
+def toa_in_bins(toa: float, cfg: WaveformConfig) -> float:
+    return toa / cfg.delay_bin_s
 
 
 class TestConfig:
@@ -298,7 +296,6 @@ class TestToa:
         pilot = make_pilot(cfg)
         y = apply_channel(pilot, single_path(cfg, 13), cfg, np.random.default_rng(0))
         est = estimate_toa(y, cfg)
-        assert est.scheme == cfg.scheme
         assert abs(toa_in_bins(est, cfg) - 13) < 1e-3
 
     def test_first_arrival_beats_stronger_echo(self, cfg):
@@ -340,22 +337,25 @@ class TestToa:
             toa = toa_in_bins(estimate_toa(y, cfg), cfg)
             assert toa >= toa0 - 0.2
 
-
-class TestToaDistance:
-    def test_one_microsecond(self):
-        assert toa_to_distance(ToaEstimate(1e-6, 1.0, "ofdm")) == pytest.approx(299.792458)
-
-    def test_zero(self):
-        assert toa_to_distance(ToaEstimate(0.0, 1.0, "ofdm")) == 0.0
-
-    def test_one_sample_at_30khz(self):
-        toa = 1.0 / (256 * 30e3)
-        expected = C_LIGHT / (256 * 30e3)
-        assert toa_to_distance(ToaEstimate(toa, 1.0, "otfs")) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(39.0354, abs=1e-4)
+    def test_zero_delay_returns_non_negative_seconds(self, cfg):
+        # Noise can tilt the interpolation below bin 0; the estimate stays >= 0.
+        for seed in range(8):
+            y = apply_channel(make_pilot(cfg), single_path(cfg, 0, snr_db=0.0), cfg, np.random.default_rng(seed))
+            est = estimate_toa(y, cfg)
+            assert isinstance(est, float)
+            assert 0.0 <= toa_in_bins(est, cfg) < 0.5
 
 
 class TestTrials:
+    def test_one_delay_bin_at_30khz_is_39_m(self):
+        # Default numerology: 256 subcarriers at 30 kHz; the trial scales seconds by C_LIGHT.
+        for cfg in (OFDM, OTFS):
+            bin_m = C_LIGHT * cfg.delay_bin_s
+            assert bin_m == pytest.approx(39.0354, abs=1e-4)
+            ps = PathSet((Path(delay=cfg.delay_bin_s, doppler=0.0, gain=1 + 0j),))
+            err = ranging_error_trial(cfg, bin_m, ps, np.random.default_rng(0))
+            assert err < 0.05
+
     def test_noiseless_integer_distance_recovered(self):
         for cfg in (OFDM, OTFS):
             d_true = 4 * C_LIGHT * cfg.delay_bin_s
