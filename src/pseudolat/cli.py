@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import harness
 from .localization import crlb
@@ -130,18 +129,9 @@ def _cmd_crlb(args) -> int:
     result = crlb(anchors, target, sigma_fn)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "crlb.json")
-    payload = {
-        "version": 1,
-        "covariance_m2": [[float(v) for v in row] for row in np.asarray(result.cov)],
-        "trace_m2": result.trace,
-        "rms_m": float(np.sqrt(result.trace)),
-        "rank": result.rank,
-        "rank_deficient": result.rank_deficient,
-    }
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _say(args, f"CRLB trace {result.trace:.4f} m^2 (rms {payload['rms_m']:.4f} m), rank {result.rank}")
+    harness.write_crlb_json(result, out_path)
+    rms = math.sqrt(result.trace)
+    _say(args, f"CRLB trace {result.trace:.4f} m^2 (rms {rms:.4f} m), rank {result.rank}")
     _say(args, f"wrote {out_path}")
     return 0
 

@@ -10,7 +10,6 @@ runtime is reported on the console only, never in output files.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 import threading
@@ -29,7 +28,7 @@ from .geometry import (
     revolution_period,
     sample_trajectory,
 )
-from .localization import DEFAULT_BOUNDS, Bounds, _box, pseudo_multilaterate_static_batch
+from .localization import DEFAULT_BOUNDS, Bounds, CrlbResult, _box, pseudo_multilaterate_static_batch
 from .ranging import (
     MeasurementMatrix,
     NoiseModel,
@@ -38,6 +37,8 @@ from .ranging import (
     _fmt,
     _line_of_sight,
     _ranges,
+    _write_json,
+    _write_lines,
     export_dataset,
 )
 from .relocation import RelocationPolicy, predict_target, relocate
@@ -74,6 +75,7 @@ __all__ = [
     "write_waveform_errors_csv",
     "write_waveform_hist_csv",
     "write_comparison_json",
+    "write_crlb_json",
 ]
 
 
@@ -264,14 +266,13 @@ def _as_bounds(v, path: str) -> Bounds:
     return bounds
 
 
-def _build(cls, v, path: str, rename=None, fixed=None, keys=None):
+def _build(cls, v, path: str, rename=None, fixed=None):
     """Construct the dataclass ``cls`` from the JSON object ``v`` at ``path``.
 
     Each field is read from its JSON key (the field name unless ``rename``
     maps it) by the converter ``_CONVERT`` holds for its annotation; a field
     whose key is absent takes its dataclass default. ``fixed`` sets fields
-    the config may not set, and ``keys``, if given, names the only fields it
-    may set: the key of any other field is unknown.
+    the config may not set: their keys are unknown.
     """
     d = _as_dict(v, path)
     rename, fixed = rename or {}, fixed or {}
@@ -280,7 +281,7 @@ def _build(cls, v, path: str, rename=None, fixed=None, keys=None):
         key = rename.get(f.name, f.name)
         if f.name in fixed:
             kwargs[f.name] = fixed[f.name]
-        elif key in d and (keys is None or f.name in keys):
+        elif key in d:
             kwargs[f.name] = _CONVERT[f.type](d.pop(key), _join(path, key))
         elif f.default is dataclasses.MISSING:
             raise ConfigError(f"missing field {_join(path, key)}")
@@ -374,7 +375,7 @@ def parse_scenario_config(raw: dict) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class CompareConfig:
-    waveform: dict  # WaveformConfig kwargs without the grid's scheme and spacing
+    waveform: WaveformConfig  # each grid cell replaces its scheme and spacing
     name: str = "comparison"
     spacings_hz: tuple[float, ...] = (30e3, 120e3)
     ensemble: NlosEnsemble = NlosEnsemble()
@@ -385,19 +386,10 @@ class CompareConfig:
 
 def parse_compare_config(raw: dict) -> CompareConfig:
     d = _top_level(raw, ("histogram",))
-    # A throwaway OFDM config validates the numerology; every cell of the
-    # grid sets its own scheme and spacing.
-    grid = ("scheme", "subcarrier_spacing")
-    keys = [f.name for f in dataclasses.fields(WaveformConfig) if f.name not in grid]
-    probe = _build(
-        WaveformConfig,
-        d.pop("waveform", {}),
-        "waveform",
-        rename=_WAVEFORM_KEYS,
-        fixed={"scheme": "ofdm"},
-        keys=keys,
-    )
-    cfg = _build(CompareConfig, d, "", fixed={"waveform": {k: getattr(probe, k) for k in keys}})
+    # The grid sets every cell's scheme and spacing, so the config may set neither.
+    grid = {"scheme": "ofdm", "subcarrier_spacing": WaveformConfig.subcarrier_spacing}
+    waveform = _build(WaveformConfig, d.pop("waveform", {}), "waveform", rename=_WAVEFORM_KEYS, fixed=grid)
+    cfg = _build(CompareConfig, d, "", fixed={"waveform": waveform})
     if cfg.trials < 1:
         raise ConfigError("field trials must be >= 1")
     if cfg.base_seed < 0:
@@ -682,7 +674,7 @@ def compare_waveforms(cfg: CompareConfig) -> WaveformComparison:
     recorded as censored (nan) entries.
     """
     cells = [
-        (scheme, df, WaveformConfig(scheme=scheme, subcarrier_spacing=df, **cfg.waveform))
+        (scheme, df, dataclasses.replace(cfg.waveform, scheme=scheme, subcarrier_spacing=df))
         for df in cfg.spacings_hz
         for scheme in ("ofdm", "otfs")
     ]
@@ -729,8 +721,7 @@ def write_report_csv(report: MetricsReport, path) -> None:
             f"{report.scenario},{run},{truth},{est},{_fmt(err)},{_fmt(report.residual[run])},"
             f"{int(report.converged[run])},{report.n_alternates[run]}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_summary_json(report: MetricsReport, path) -> None:
@@ -749,9 +740,7 @@ def write_summary_json(report: MetricsReport, path) -> None:
             "overflow": overflow,
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def write_waveform_errors_csv(cmp: WaveformComparison, path) -> None:
@@ -760,8 +749,7 @@ def write_waveform_errors_csv(cmp: WaveformComparison, path) -> None:
         for trial in range(err.size):
             if np.isfinite(err[trial]):
                 lines.append(f"{trial},{scheme},{_fmt(df)},{_fmt(err[trial])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_waveform_censored_csv(cmp: WaveformComparison, path) -> None:
@@ -770,8 +758,7 @@ def write_waveform_censored_csv(cmp: WaveformComparison, path) -> None:
         for trial in range(err.size):
             if not np.isfinite(err[trial]):
                 lines.append(f"{trial},{scheme},{_fmt(df)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_waveform_hist_csv(cmp: WaveformComparison, path) -> None:
@@ -786,8 +773,7 @@ def write_waveform_hist_csv(cmp: WaveformComparison, path) -> None:
             lines.append(
                 f"{scheme},{_fmt(df)},{_fmt(edges[b])},{_fmt(edges[b + 1])},{_fmt(density)}"
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _finite_or_null(v):
@@ -806,9 +792,19 @@ def write_comparison_json(cmp: WaveformComparison, path) -> None:
             _fmt(df): _finite_or_null(ratio) for df, ratio in cmp.improvement_ratios().items()
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
+
+
+def write_crlb_json(result: CrlbResult, path) -> None:
+    payload = {
+        "version": 1,
+        "covariance_m2": result.cov.tolist(),
+        "trace_m2": result.trace,
+        "rms_m": math.sqrt(result.trace),
+        "rank": result.rank,
+        "rank_deficient": result.rank_deficient,
+    }
+    _write_json(path, payload)
 
 
 def export_scenario_dataset(cfg: ScenarioConfig, path) -> int:

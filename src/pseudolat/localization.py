@@ -262,19 +262,13 @@ def multilaterate(ranges: Sequence[AnchorRange], bounds: Bounds = DEFAULT_BOUNDS
     """
     anchors, d = _ranges_to_arrays(ranges) if ranges else (np.empty((0, 3)), np.empty(0))
     n = anchors.shape[0]
-    zlo, zhi = bounds[2]
-    if zlo == zhi:
-        if n < 3:
-            raise GeometryError(f"2D multilateration needs >= 3 anchors, got {n}")
-        centered = anchors[:, :2] - anchors[:, :2].mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < 2:
-            raise GeometryError("anchors are collinear; 2D solve is degenerate")
-    else:
-        if n < 4:
-            raise GeometryError(f"3D multilateration needs >= 4 anchors, got {n}")
-        centered = anchors - anchors.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < 3:
-            raise GeometryError("anchors are coplanar; 3D solve is degenerate")
+    dims = 2 if bounds[2][0] == bounds[2][1] else 3
+    if n < dims + 1:
+        raise GeometryError(f"{dims}D multilateration needs >= {dims + 1} anchors, got {n}")
+    centered = anchors[:, :dims] - anchors[:, :dims].mean(axis=0)
+    if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < dims:
+        shape = "collinear" if dims == 2 else "coplanar"
+        raise GeometryError(f"anchors are {shape}; {dims}D solve is degenerate")
     clusters = _solve_clusters(anchors[None], d[None], bounds)[0]
     return _solution_from_clusters(clusters)
 

@@ -9,6 +9,7 @@ obstacle shadowing shows up as contiguous positively-biased runs (the
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -201,6 +202,22 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _write_lines(path, lines: Sequence[str]) -> None:
+    """Write ``lines`` as one artifact: UTF-8, LF line ends, a final newline."""
+    text = "\n".join(lines) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as strict JSON, indented by 2 with sorted keys.
+
+    The payload is encoded before the file opens, so a NaN or infinity
+    raises ValueError and leaves no file.
+    """
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)])
+
+
 def export_dataset(matrices: Sequence[MeasurementMatrix], path) -> None:
     """Write matrices as CSV with one line per matrix row.
 
@@ -218,8 +235,7 @@ def export_dataset(matrices: Sequence[MeasurementMatrix], path) -> None:
                 f"{m.revolution},{i},{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(d)},"
                 f"{int(m.los[i])},{_fmt(label[0])},{_fmt(label[1])},{_fmt(label[2])}"
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_dataset(path) -> list[MeasurementMatrix]:

@@ -292,11 +292,8 @@ def apply_channel(
 
 
 def _delay_profile(received: np.ndarray, cfg: WaveformConfig):
-    """Profile over delay bins plus the matrix used for peak interpolation.
-
-    Returns (profile, interp_values) where interp_values[l] are the
-    magnitudes used when fitting the parabola around bin l.
-    """
+    """(delay, Doppler) magnitudes of the received frame: (n, 1) for OFDM,
+    whose estimator averages Doppler out, and (n, m) for OTFS."""
     n, m = cfg.n_subcarriers, cfg.n_symbols
     hop = cfg.symbol_samples
     cp = cfg.cp_len
@@ -314,17 +311,14 @@ def _delay_profile(received: np.ndarray, cfg: WaveformConfig):
         # coherently over the frame, then one IFFT to the delay profile.
         # Cross-symbol phase drift (Doppler) eats into this average.
         h_freq = np.mean(y_tf * np.conj(_qpsk_grid(n, m)), axis=1)
-        profile = np.abs(np.fft.ifft(h_freq, norm="ortho"))
-        return profile, profile
-    y_dd = sfft(y_tf)
-    mag = np.abs(y_dd)
-    k_star = np.argmax(mag, axis=1)
-    profile = mag[np.arange(n), k_star]
-    # Interpolate along delay at the Doppler bin that wins at the peak.
-    return profile, mag
+        return np.abs(np.fft.ifft(h_freq, norm="ortho"))[:, None]
+    return np.abs(sfft(y_tf))
 
 
-def _pick_first_arrival(profile: np.ndarray, interp, cfg: WaveformConfig) -> float:
+def _pick_first_arrival(mag: np.ndarray, cfg: WaveformConfig) -> float:
+    """Fractional delay bin of the first peak of the profile ``mag.max(axis=1)``,
+    refined along delay at the Doppler bin that wins at that peak."""
+    profile = mag.max(axis=1)
     n = profile.size
     peak = float(profile.max())
     if not np.isfinite(peak) or peak <= 0.0:
@@ -336,11 +330,10 @@ def _pick_first_arrival(profile: np.ndarray, interp, cfg: WaveformConfig) -> flo
     is_peak = (profile >= left) & (profile >= right) & (profile >= thr)
     i0 = int(np.flatnonzero(is_peak)[0])
 
-    interp = interp.reshape(n, -1)
-    k0 = int(np.argmax(interp[i0]))
-    v_m = float(interp[(i0 - 1) % n, k0])
-    v_0 = float(interp[i0, k0])
-    v_p = float(interp[(i0 + 1) % n, k0])
+    k0 = int(np.argmax(mag[i0]))
+    v_m = float(mag[(i0 - 1) % n, k0])
+    v_0 = float(mag[i0, k0])
+    v_p = float(mag[(i0 + 1) % n, k0])
     denom = v_m - 2.0 * v_0 + v_p
     delta = 0.5 * (v_m - v_p) / denom if denom < 0 else 0.0
     delta = min(max(delta, -0.5), 0.5)
@@ -350,8 +343,7 @@ def _pick_first_arrival(profile: np.ndarray, interp, cfg: WaveformConfig) -> flo
 def estimate_toa(received: np.ndarray, cfg: WaveformConfig) -> float:
     """First-arrival delay estimate (s, >= 0) from a received pilot frame."""
     received = np.asarray(received, dtype=np.complex128)
-    profile, interp = _delay_profile(received, cfg)
-    return _pick_first_arrival(profile, interp, cfg) * cfg.delay_bin_s
+    return _pick_first_arrival(_delay_profile(received, cfg), cfg) * cfg.delay_bin_s
 
 
 def ranging_error_trial(

@@ -251,7 +251,8 @@ def test_criterion_5_waveform_directional_claim():
     cfg = CompareConfig(
         name="fig5",
         spacings_hz=(30e3, 120e3),
-        waveform=dict(
+        waveform=WaveformConfig(
+            scheme="ofdm",
             n_subcarriers=256,
             n_symbols=128,
             carrier_freq=28e9,

@@ -126,9 +126,7 @@ class TestParsing:
         cfg = parse_compare_config({"version": 1})
         assert cfg.spacings_hz == (30e3, 120e3)
         assert cfg.trials == 5000
-        defaults = dataclasses.asdict(WaveformConfig(scheme="ofdm"))
-        del defaults["scheme"], defaults["subcarrier_spacing"]
-        assert cfg.waveform == defaults
+        assert cfg.waveform == WaveformConfig(scheme="ofdm")
 
     def test_compare_rejects_scheme_field(self):
         with pytest.raises(ConfigError, match="scheme"):
@@ -279,6 +277,17 @@ class TestRunScenario:
         assert summary["runs"] == 5
         assert summary["convergence_rate"] == float(np.mean(report.converged))
         assert summary["per_revolution_median_error_m"] == np.median(report.rev_errors, axis=0).tolist()
+
+    def test_nan_error_is_rejected_before_the_summary_is_written(self, tmp_path):
+        # Strict JSON has no NaN token: the writer raises and writes nothing.
+        report = run_scenario(parse_scenario_config(base_scenario(runs=2)))
+        rev_errors = report.rev_errors.copy()
+        rev_errors[0, -1] = math.nan
+        bad = dataclasses.replace(report, rev_errors=rev_errors)
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError):
+            write_summary_json(bad, path)
+        assert not path.exists()
 
     def test_waveform_backed_scenario_runs(self):
         raw = base_scenario(
@@ -454,7 +463,8 @@ class TestCompare:
         cfg = CompareConfig(
             name="exact",
             spacings_hz=(30e3, 120e3),
-            waveform=dict(
+            waveform=WaveformConfig(
+                scheme="ofdm",
                 n_subcarriers=256,
                 n_symbols=8,
                 carrier_freq=28e9,
@@ -484,7 +494,8 @@ class TestCompare:
         cfg = CompareConfig(
             name="paired",
             spacings_hz=(30e3,),
-            waveform=dict(
+            waveform=WaveformConfig(
+                scheme="ofdm",
                 n_subcarriers=64,
                 n_symbols=8,
                 carrier_freq=28e9,
