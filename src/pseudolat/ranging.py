@@ -222,24 +222,26 @@ def export_dataset(matrices: Sequence[MeasurementMatrix], path) -> None:
     """Write matrices as CSV with one line per matrix row.
 
     Floats use the shortest round-trip decimal form, so re-parsing
-    reproduces the arrays bit-exactly. Missing labels are written as nan.
+    reproduces the arrays bit-exactly. A matrix without a label gets three
+    empty label fields.
     """
     if not matrices:
         raise ValueError("cannot export an empty matrix list")
     lines = [DATASET_HEADER]
     for m in matrices:
-        label = m.label.as_array() if m.label is not None else np.full(3, np.nan)
+        label = ",".join(map(_fmt, m.label.as_array())) if m.label is not None else ",,"
         for i in range(m.rows.shape[0]):
             x, y, z, d = m.rows[i]
-            lines.append(
-                f"{m.revolution},{i},{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(d)},"
-                f"{int(m.los[i])},{_fmt(label[0])},{_fmt(label[1])},{_fmt(label[2])}"
-            )
+            lines.append(f"{m.revolution},{i},{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(d)},{int(m.los[i])},{label}")
     _write_lines(path, lines)
 
 
 def load_dataset(path) -> list[MeasurementMatrix]:
-    """Inverse of :func:`export_dataset`."""
+    """Inverse of :func:`export_dataset`.
+
+    Empty label fields, and the ``nan`` ones that earlier versions wrote,
+    read as no label.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln]
     if not lines or lines[0] != DATASET_HEADER:
@@ -254,7 +256,7 @@ def load_dataset(path) -> list[MeasurementMatrix]:
         parts_list = sorted(by_rev[rev], key=lambda p: int(p[1]))
         rows = np.array([[float(p[2]), float(p[3]), float(p[4]), float(p[5])] for p in parts_list])
         los = np.array([bool(int(p[6])) for p in parts_list])
-        lx, ly, lz = (float(parts_list[0][j]) for j in (7, 8, 9))
+        lx, ly, lz = (float(parts_list[0][j] or "nan") for j in (7, 8, 9))
         label = None if np.isnan(lx) else Position3(lx, ly, lz)
         matrices.append(MeasurementMatrix(rows=rows, los=los, revolution=rev, label=label))
     return matrices

@@ -195,6 +195,7 @@ def make_pilot(cfg: WaveformConfig) -> np.ndarray:
     return sig
 
 
+@functools.lru_cache(maxsize=1024)
 def _next_fast_len(n: int) -> int:
     # Smallest 5-smooth length >= n keeps the channel FFTs fast.
     best = 1
@@ -221,18 +222,26 @@ def _pilot_spectrum(cfg: WaveformConfig, total: int) -> np.ndarray:
     return spec
 
 
-def _phase_ramp(theta0: float, w: float, n: int) -> np.ndarray:
-    """exp(j (theta0 + w k)) for k < n, from two tables of about sqrt(n) terms.
+def _ramp_tables(theta0, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the phase ramps exp(j (theta0_i + w_i k)), k < n, one row per w_i.
 
-    With k = b q + r the ramp is the outer product of exp(j (theta0 + w b q))
-    and exp(j w r), so it costs O(sqrt(n)) complex exponentials plus one
-    complex multiply per sample instead of n exponentials.
+    With b = isqrt(n) and k = b q + r a ramp is the outer product of
+    hi_i[q] = exp(j (theta0_i + w_i b q)) and lo_i[r] = exp(j w_i r), so all
+    rows cost two np.exp calls of O(sqrt(n)) terms each instead of n
+    exponentials per ramp. ``theta0`` is a scalar or a (rows, 1) array.
     """
     b = max(1, math.isqrt(n))
     q = -(-n // b)
+    w = w[:, None]
     lo = np.exp(1j * w * np.arange(b))
     hi = np.exp(1j * (theta0 + w * b * np.arange(q)))
-    return np.outer(hi, lo).ravel()[:n]
+    return hi, lo
+
+
+def _ramp_into(out: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Write the flattened outer product of one table row pair to the head of ``out``."""
+    np.multiply(hi[:, None], lo, out=out[: hi.size * lo.size].reshape(hi.size, lo.size))
+    return out
 
 
 def apply_channel(
@@ -254,31 +263,34 @@ def apply_channel(
         raise ValueError("path delay exceeds one symbol duration")
     total = _next_fast_len(x.size + int(np.ceil(max(delays_samp))) + 16)
     n_pos = (total - 1) // 2 + 1  # bins of fftfreq's non-negative half
+    shifts = [int(round(a)) for a in delays_samp]
+    whole = [abs(a - ai) < 1e-9 for a, ai in zip(delays_samp, shifts)]
+    # every path's ramp tables at once; each ramp is then written in place
+    # bin k carries frequency k fs / total below n_pos, (k - total) fs / total from it
+    w = -2.0 * np.pi * np.array([a for a, s in zip(delays_samp, whole) if not s]) / total
+    pos = zip(*_ramp_tables(0.0, w, n_pos))
+    neg = zip(*_ramp_tables((w * (n_pos - total))[:, None], w, total - n_pos))
+    nu = np.array([p.doppler for p in paths.paths if p.doppler != 0.0])
+    rot = zip(*_ramp_tables(0.0, 2.0 * np.pi * nu / fs, total))
+    if not all(whole):
+        spectrum = _pilot_spectrum(cfg, total) if signal is make_pilot(cfg) else np.fft.fft(x, total)
     y = np.zeros(total, dtype=np.complex128)
     buf = np.empty(total, dtype=np.complex128)  # one path at a time, reused
-    spectrum = None
-    for p, a in zip(paths.paths, delays_samp):
-        ai = int(round(a))
-        if abs(a - ai) < 1e-9:
+    scratch = np.empty(total + math.isqrt(total) + 1, dtype=np.complex128)  # one ramp at a time
+    for p, ai, is_whole in zip(paths.paths, shifts, whole):
+        if is_whole:
             buf.fill(0.0)
             buf[ai : ai + x.size] = x
         else:
-            if spectrum is None:
-                if signal is make_pilot(cfg):
-                    spectrum = _pilot_spectrum(cfg, total)
-                else:
-                    spectrum = np.fft.fft(x, total)
-            # bin k carries frequency k fs / total below n_pos, (k - total) fs / total from it
-            w = -2.0 * np.pi * a / total
-            buf[:n_pos] = _phase_ramp(0.0, w, n_pos)
-            buf[n_pos:] = _phase_ramp(w * (n_pos - total), w, total - n_pos)
-            buf *= spectrum
+            np.multiply(_ramp_into(scratch, *next(pos))[:n_pos], spectrum[:n_pos], out=buf[:n_pos])
+            np.multiply(_ramp_into(scratch, *next(neg))[: total - n_pos], spectrum[n_pos:], out=buf[n_pos:])
             np.fft.ifft(buf, out=buf)
         if p.doppler != 0.0:
-            buf *= _phase_ramp(0.0, 2.0 * np.pi * p.doppler / fs, total)
+            buf *= _ramp_into(scratch, *next(rot))[:total]
         # gain on the left: buf * gain rounds differently in the last bit
         np.multiply(p.gain, buf, out=buf)
         y += buf
+    del buf, scratch  # the noise draw below then adds to y alone
     if math.isfinite(paths.snr_db):
         power = float(np.mean(np.abs(y) ** 2))
         if power > 0:
@@ -324,11 +336,13 @@ def _pick_first_arrival(mag: np.ndarray, cfg: WaveformConfig) -> float:
     if not np.isfinite(peak) or peak <= 0.0:
         raise DetectionFailure("delay profile has no positive peak")
     thr = peak * 10.0 ** (-cfg.threshold_db / 20.0)
-    left = np.roll(profile, 1)
-    right = np.roll(profile, -1)
-    # threshold_db > 0 puts the global maximum among the candidates.
-    is_peak = (profile >= left) & (profile >= right) & (profile >= thr)
-    i0 = int(np.flatnonzero(is_peak)[0])
+    # The first candidate at least as high as both ring neighbours; threshold_db > 0
+    # puts the global maximum among the candidates, so the scan always ends.
+    i0 = next(
+        i
+        for i in np.flatnonzero(profile >= thr).tolist()
+        if profile[i - 1] <= profile[i] >= profile[(i + 1) % n]
+    )
 
     k0 = int(np.argmax(mag[i0]))
     v_m = float(mag[(i0 - 1) % n, k0])

@@ -303,7 +303,7 @@ class TestExport:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "rev,row,x,y,z,d,los,label_x,label_y,label_z"
         assert len(lines) == 1 + 60
-        assert lines[31].startswith("1,0,") and lines[31].endswith(",nan,nan,nan")
+        assert lines[31].startswith("1,0,") and lines[31].endswith(",,,")
 
     def test_round_trip_bit_exact(self, tmp_path, static_series):
         mats = self._matrices(static_series)
@@ -316,6 +316,22 @@ class TestExport:
             assert np.array_equal(a.los, b.los)
             assert a.revolution == b.revolution
             assert a.label == b.label
+
+    def test_unlabelled_matrix_round_trip_without_nan(self, tmp_path):
+        mat = MeasurementMatrix(rows=np.array([[0.5, -1.25, 3.0, 7.125]]), los=np.array([True]), revolution=2)
+        out = tmp_path / "dataset.csv"
+        export_dataset([mat], out)
+        assert "nan" not in out.read_text().lower()
+        (back,) = load_dataset(out)
+        assert back.label is None and back.revolution == 2
+        assert np.array_equal(back.rows.view(np.uint64), mat.rows.view(np.uint64))
+        assert np.array_equal(back.los, mat.los)
+
+    def test_nan_labels_still_load_as_unlabelled(self, tmp_path):
+        out = tmp_path / "dataset.csv"
+        out.write_text("rev,row,x,y,z,d,los,label_x,label_y,label_z\n0,0,1.0,1.0,1.0,1.0,1,nan,nan,nan\n")
+        (back,) = load_dataset(out)
+        assert back.label is None
 
     def test_empty_list_rejected_without_file(self, tmp_path):
         out = tmp_path / "nothing.csv"

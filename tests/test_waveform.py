@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from waveform_reference import apply_channel as reference_channel
-from waveform_reference import exact_channel, exact_delay_profile
+from waveform_reference import exact_channel, exact_delay_profile, exact_pick_first_arrival, phase_ramp
 
 from pseudolat.waveform import (
     C_LIGHT,
@@ -15,7 +16,7 @@ from pseudolat.waveform import (
     PathSet,
     WaveformConfig,
     _delay_profile,
-    _phase_ramp,
+    _pick_first_arrival,
     apply_channel,
     estimate_toa,
     isfft,
@@ -161,7 +162,7 @@ F_MAX = 28e9 * 10.0 / C_LIGHT  # Doppler of a 10 m/s anchor at 28 GHz
 
 
 def _paths(cfg, delays_samples, dopplers, snr_db=math.inf):
-    gains = (1 + 0j, 0.6 - 0.3j, -0.2 + 0.5j)
+    gains = (1 + 0j, 0.6 - 0.3j, -0.2 + 0.5j, 0.3j, 0.25 + 0j, -0.1 - 0.1j)
     return PathSet(
         tuple(
             Path(delay=a / cfg.sample_rate, doppler=nu, gain=g)
@@ -196,7 +197,7 @@ class TestChannelMatchesReference:
         for theta0 in (0.0, 2.5, -800.0):
             for wn in (0.0, 1e-3, -7.0, 1e3, -1e3):
                 w = wn / n
-                got = _phase_ramp(theta0, w, n)
+                got = phase_ramp(theta0, w, n)
                 assert got.shape == (n,)
                 assert np.max(np.abs(got - np.exp(1j * (theta0 + w * np.arange(n))))) <= 1e-12
 
@@ -249,9 +250,28 @@ EXACT_NUMEROLOGIES = dict(
 )
 
 
+# Six paths: every mix of integer or fractional delay with zero or nonzero
+# Doppler, so paths that take the next row of a batched table alternate with
+# paths that take none; and integer delays only, so the delay tables are empty.
+SIX_PATH_CHANNELS = {
+    "six_mixed": lambda cfg: _paths(
+        cfg, (12, 23.25, 40, 61.9, 80.5, 200), (0.0, -F_MAX, 0.7 * F_MAX, 0.0, F_MAX / 3, 5e3), 0.0
+    ),
+    "six_integer": lambda cfg: _paths(cfg, (0, 13, 40, 77, 130, 200), (0.0,) * 6, 10.0),
+}
+# STRIPE's frame and fig5's OFDM frame with cyclic prefix.
+SIX_PATH_NUMEROLOGIES = ("stripe", "ofdm_30k")
+
+
 class TestLeanMatchesExact:
     """The reused path buffer, in-place transforms and symbol views against
     fresh arrays per step: the same samples to the last bit."""
+
+    @pytest.mark.parametrize("channel", sorted(SIX_PATH_CHANNELS))
+    @pytest.mark.parametrize("numerology", SIX_PATH_NUMEROLOGIES)
+    def test_six_path_channels(self, numerology, channel):
+        cfg = NUMEROLOGIES[numerology]
+        _assert_lean_matches_exact(make_pilot(cfg), SIX_PATH_CHANNELS[channel](cfg), cfg, 5)
 
     @pytest.mark.parametrize("channel", sorted(CHANNELS))
     @pytest.mark.parametrize("numerology", sorted(EXACT_NUMEROLOGIES))
@@ -431,6 +451,75 @@ class TestDetection:
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError):
             estimate_toa(np.zeros(100, dtype=complex), OFDM)
+
+
+def _assert_pick_matches_exact(mag, cfg):
+    try:
+        want = exact_pick_first_arrival(mag, cfg)
+    except DetectionFailure:
+        with pytest.raises(DetectionFailure):
+            _pick_first_arrival(mag, cfg)
+        return
+    assert _pick_first_arrival(mag, cfg).hex() == want.hex()
+
+
+def _ring_mag(profile):
+    """(n, 3) magnitudes whose row maxima are ``profile``, winning column i % 3."""
+    profile = np.asarray(profile, dtype=float)
+    mag = np.repeat(0.5 * profile[:, None], 3, axis=1)
+    mag[np.arange(profile.size), np.arange(profile.size) % 3] = profile
+    return mag
+
+
+_THR_6DB = 4.0 * 10.0 ** (-6.0 / 20.0)  # the 6 dB gate below a peak of 4
+
+PICK_PROFILES = {
+    "plateau": [0, 1, 3, 3, 1, 0, 0, 0],
+    "max_at_first_bin": [4, 1, 0, 0, 0, 0, 2.5, 3],
+    "max_at_last_bin": [3, 1, 0, 0, 0, 0, 0, 4],
+    "candidate_at_threshold": [0, 0, _THR_6DB, 0, 4, 0, 0, 0],
+    "first_candidate_not_a_peak": [0, 3, 4, 1, 0, 0, 0, 0],
+    "single_bin": [2.0],
+}
+
+
+class TestFirstArrivalScan:
+    """The candidate scan against the rolled-copy pick: the same bits."""
+
+    @pytest.mark.parametrize("name", sorted(PICK_PROFILES))
+    def test_fixed_profiles(self, name):
+        profile = np.asarray(PICK_PROFILES[name], dtype=float)
+        _assert_pick_matches_exact(profile[:, None], OFDM)
+        _assert_pick_matches_exact(_ring_mag(profile), OTFS)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_quantized_profiles(self, data):
+        # A few levels make ties between neighbours and with the gate common.
+        n = data.draw(st.integers(1, 12))
+        m = data.draw(st.sampled_from([1, 3]))
+        levels = data.draw(st.lists(st.integers(0, 4), min_size=n * m, max_size=n * m))
+        cfg = WaveformConfig(scheme="otfs", threshold_db=data.draw(st.sampled_from([3.0, 6.0, 12.0])))
+        _assert_pick_matches_exact(np.array(levels, dtype=float).reshape(n, m), cfg)
+
+
+class TestChannelMemory:
+    """Traced numpy memory of one sample: channel synthesis plus ToA."""
+
+    @pytest.mark.parametrize("numerology", SIX_PATH_NUMEROLOGIES)
+    def test_peak_within_six_frames(self, numerology):
+        cfg = NUMEROLOGIES[numerology]
+        paths = SIX_PATH_CHANNELS["six_mixed"](cfg)
+        pilot = make_pilot(cfg)
+        estimate_toa(apply_channel(pilot, paths, cfg, np.random.default_rng(0)), cfg)  # fill the caches
+        tracemalloc.start()
+        try:
+            y = apply_channel(pilot, paths, cfg, np.random.default_rng(0))
+            estimate_toa(y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * y.nbytes
 
 
 class TestEnsemble:

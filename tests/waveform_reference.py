@@ -8,8 +8,11 @@ the library's channel with it within 1e-12.
 
 `exact_channel` and `exact_delay_profile` are the library's channel and
 delay profile as they were before they reused one path buffer, transformed
-in place and sliced symbols as views: a fresh array per path and per step.
-The library must match them bit for bit.
+in place and sliced symbols as views: a fresh array per path and per step,
+and every phase ramp a fresh `phase_ramp` outer product.
+`exact_pick_first_arrival` is the library's first-arrival pick as it was
+before it scanned the candidates: two rolled copies of the profile. The
+library must match all three bit for bit.
 """
 
 import functools
@@ -18,15 +21,29 @@ import math
 import numpy as np
 
 from pseudolat.waveform import (
+    DetectionFailure,
     PathSet,
     WaveformConfig,
     _next_fast_len,
-    _phase_ramp,
     _pilot_spectrum,
     _qpsk_grid,
     _subcarrier_bins,
     make_pilot,
 )
+
+
+def phase_ramp(theta0: float, w: float, n: int) -> np.ndarray:
+    """exp(j (theta0 + w k)) for k < n, from two tables of about sqrt(n) terms.
+
+    With k = b q + r the ramp is the outer product of exp(j (theta0 + w b q))
+    and exp(j w r), so it costs O(sqrt(n)) complex exponentials plus one
+    complex multiply per sample instead of n exponentials.
+    """
+    b = max(1, math.isqrt(n))
+    q = -(-n // b)
+    lo = np.exp(1j * w * np.arange(b))
+    hi = np.exp(1j * (theta0 + w * b * np.arange(q)))
+    return np.outer(hi, lo).ravel()[:n]
 
 
 @functools.lru_cache(maxsize=64)
@@ -110,12 +127,12 @@ def exact_channel(
                     spectrum = np.fft.fft(x, total)
             w = -2.0 * np.pi * a / total
             ramp = np.concatenate(
-                [_phase_ramp(0.0, w, n_pos), _phase_ramp(w * (n_pos - total), w, total - n_pos)]
+                [phase_ramp(0.0, w, n_pos), phase_ramp(w * (n_pos - total), w, total - n_pos)]
             )
             ramp *= spectrum
             shifted = np.fft.ifft(ramp)
         if p.doppler != 0.0:
-            shifted *= _phase_ramp(0.0, 2.0 * np.pi * p.doppler / fs, total)
+            shifted *= phase_ramp(0.0, 2.0 * np.pi * p.doppler / fs, total)
         y += p.gain * shifted
     if math.isfinite(paths.snr_db):
         power = float(np.mean(np.abs(y) ** 2))
@@ -149,3 +166,26 @@ def exact_delay_profile(received: np.ndarray, cfg: WaveformConfig):
     k_star = np.argmax(mag, axis=1)
     profile = mag[np.arange(n), k_star]
     return profile, mag
+
+
+def exact_pick_first_arrival(mag: np.ndarray, cfg: WaveformConfig) -> float:
+    profile = mag.max(axis=1)
+    n = profile.size
+    peak = float(profile.max())
+    if not np.isfinite(peak) or peak <= 0.0:
+        raise DetectionFailure("delay profile has no positive peak")
+    thr = peak * 10.0 ** (-cfg.threshold_db / 20.0)
+    left = np.roll(profile, 1)
+    right = np.roll(profile, -1)
+    # threshold_db > 0 puts the global maximum among the candidates.
+    is_peak = (profile >= left) & (profile >= right) & (profile >= thr)
+    i0 = int(np.flatnonzero(is_peak)[0])
+
+    k0 = int(np.argmax(mag[i0]))
+    v_m = float(mag[(i0 - 1) % n, k0])
+    v_0 = float(mag[i0, k0])
+    v_p = float(mag[(i0 + 1) % n, k0])
+    denom = v_m - 2.0 * v_0 + v_p
+    delta = 0.5 * (v_m - v_p) / denom if denom < 0 else 0.0
+    delta = min(max(delta, -0.5), 0.5)
+    return max(i0 + delta, 0.0)
