@@ -13,14 +13,12 @@ from .geometry import (
     Position3,
     TrajectorySpec,
     WaypointSeries,
-    distance,
     linear_mirror,
     mirror_point,
     revolution_period,
     sample_trajectory,
 )
 from .localization import (
-    AnchorRange,
     CrlbResult,
     GeometryError,
     Solution,
@@ -28,7 +26,6 @@ from .localization import (
     multilaterate,
     pseudo_multilaterate_static,
     pseudo_multilaterate_static_batch,
-    residual_sum,
 )
 from .ranging import (
     MeasurementMatrix,

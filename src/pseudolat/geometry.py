@@ -21,7 +21,6 @@ __all__ = [
     "LinearTrajectory",
     "TrajectorySpec",
     "WaypointSeries",
-    "distance",
     "sample_trajectory",
     "revolution_period",
     "mirror_point",
@@ -118,11 +117,6 @@ class WaypointSeries:
 
     def position(self, k: int) -> Position3:
         return Position3.from_array(self.p[k])
-
-
-def distance(a: Position3, b: Position3) -> float:
-    """Euclidean distance between two points, meters."""
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
 
 
 def sample_trajectory(spec: TrajectorySpec, t0: float, dt: float, n: int) -> WaypointSeries:

@@ -24,7 +24,6 @@ from .geometry import (
     Position3,
     TrajectorySpec,
     WaypointSeries,
-    distance,
     revolution_period,
     sample_trajectory,
 )
@@ -362,6 +361,11 @@ def parse_scenario_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("field samples_per_revolution is required for linear trajectories")
     if cfg.relocation is not None and not isinstance(cfg.trajectory, CircularTrajectory):
         raise ConfigError("field relocation requires a circular trajectory")
+    # relocate() starts the next circle from where a whole revolution ends.
+    if cfg.relocation is not None and samples is not None:
+        whole = int(round(revolution_period(cfg.trajectory) / cfg.dt))
+        if samples != whole:
+            raise ConfigError(f"field samples_per_revolution must be {whole} (one revolution) under relocation")
     for key in ("n_revolutions", "runs"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"field {key} must be >= 1")
@@ -430,7 +434,8 @@ def parse_crlb_config(raw: dict):
     for i, anchor in enumerate(cfg.anchors):
         if anchor == cfg.target:
             raise ConfigError(f"field anchors[{i}] coincides with the target")
-    return list(cfg.anchors), cfg.target, (lambda dist: sigma0 + eta * dist)
+    anchors = np.array([anchor.as_array() for anchor in cfg.anchors])
+    return anchors, cfg.target.as_array(), (lambda dist: sigma0 + eta * dist)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +584,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             d = np.stack([measure(run) for run in range(cfg.runs)])
         anchors = np.stack([path.p for path in anchor_paths])
         sols = pseudo_multilaterate_static_batch(anchors, d, cfg.bounds)
-        true_mid = Position3.from_array(truth[rev])
         for run, sol in enumerate(sols):
             est[run, rev] = sol.p_hat.as_array()
-            errors[run, rev] = distance(sol.p_hat, true_mid)
+        errors[:, rev] = _distances(est[:, rev], truth[rev])
         if cfg.relocation is not None and rev < cfg.n_revolutions - 1:
             horizon = revolution_period(cfg.trajectory)
             for run, spec in enumerate(specs):
@@ -590,7 +594,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
                 specs[run] = relocate(spec, predict_target(history, horizon), cfg.relocation)
     return MetricsReport(
         scenario=cfg.name,
-        true_pos=true_mid,
+        true_pos=Position3.from_array(truth[-1]),
         est=est[:, -1],
         rev_errors=errors,
         residual=np.array([sol.residual for sol in sols]),

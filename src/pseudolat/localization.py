@@ -20,15 +20,12 @@ import numpy as np
 
 from . import _kernels
 from .geometry import Position3
-from .ranging import RangeMeasurement
+from .ranging import RangeMeasurement, _distances
 
 __all__ = [
-    "AnchorRange",
     "Solution",
     "CrlbResult",
     "GeometryError",
-    "residual_sum",
-    "residual_jacobian",
     "multilaterate",
     "pseudo_multilaterate_static",
     "pseudo_multilaterate_static_batch",
@@ -58,16 +55,6 @@ class GeometryError(ValueError):
 
 
 @dataclass(frozen=True)
-class AnchorRange:
-    anchor: Position3
-    d: float
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError(f"range must be >= 0, got {self.d}")
-
-
-@dataclass(frozen=True)
 class Solution:
     p_hat: Position3
     residual: float
@@ -91,35 +78,6 @@ class CrlbResult:
     @property
     def trace(self) -> float:
         return float(np.trace(self.cov))
-
-
-def _ranges_to_arrays(ranges: Sequence[AnchorRange]) -> tuple[np.ndarray, np.ndarray]:
-    anchors = np.array([r.anchor.as_array() for r in ranges])
-    d = np.array([r.d for r in ranges])
-    return anchors, d
-
-
-def _residual_terms(candidate: Position3, ranges: Sequence[AnchorRange]):
-    """The solver kernel's (diff, dist, r, f) at one candidate point."""
-    if not ranges:
-        raise ValueError("ranges must be nonempty")
-    anchors, d = _ranges_to_arrays(ranges)
-    diff, dist, r, f = _kernels._residuals(
-        candidate.as_array()[None], anchors[None], d[None], np.zeros(1, dtype=np.intp)
-    )
-    return diff[0], dist[0], r[0], f[0]
-
-
-def residual_sum(candidate: Position3, ranges: Sequence[AnchorRange]) -> float:
-    """Sum of squared distance errors at a candidate point, m^2."""
-    return float(_residual_terms(candidate, ranges)[3])
-
-
-def residual_jacobian(candidate: Position3, ranges: Sequence[AnchorRange]):
-    """Residual vector r_k = ||p - a_k|| - d_k and the Jacobian the solver
-    kernel builds from it."""
-    diff, dist, r, _ = _residual_terms(candidate, ranges)
-    return r, diff / dist[:, None]
 
 
 def _cluster_minima(points: np.ndarray, residuals: np.ndarray, conv: np.ndarray):
@@ -210,8 +168,22 @@ def _closed_form_starts(anchors: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: 
     return starts, counts
 
 
+def _checked_problems(anchors, d) -> tuple[np.ndarray, np.ndarray]:
+    """``anchors`` (B, K, 3) and ``d`` (B, K) as float arrays; ValueError
+    unless every anchor is finite and every range finite and >= 0."""
+    anchors, d = np.asarray(anchors, dtype=np.float64), np.asarray(d, dtype=np.float64)
+    if anchors.ndim != 3 or anchors.shape[2] != 3 or d.shape != anchors.shape[:2]:
+        raise ValueError(f"need anchors (B, K, 3) and ranges (B, K), got {anchors.shape} and {d.shape}")
+    if not np.isfinite(anchors).all():
+        raise ValueError("anchor positions must be finite")
+    if not (np.isfinite(d) & (d >= 0)).all():
+        raise ValueError("ranges must be finite and >= 0")
+    return anchors, d
+
+
 def _solve_clusters(anchors: np.ndarray, d: np.ndarray, bounds: Bounds):
-    """Clustered minima of each problem: anchors (B, K, 3), d (B, K).
+    """Clustered minima of each problem: anchors (B, K, 3), d (B, K), both
+    from ``_checked_problems``.
 
     LM runs from the closed-form starts; a problem the closed form cannot
     seed, or none of whose closed-form starts converged, is solved again
@@ -254,22 +226,22 @@ def _solution_from_clusters(clusters) -> Solution:
     )
 
 
-def multilaterate(ranges: Sequence[AnchorRange], bounds: Bounds = DEFAULT_BOUNDS) -> Solution:
-    """Classical multilateration from static anchors.
+def multilaterate(anchors: np.ndarray, d: np.ndarray, bounds: Bounds = DEFAULT_BOUNDS) -> Solution:
+    """Classical multilateration from static anchors (K, 3) and ranges (K,).
 
     Requires three non-collinear anchors when the search region pins z
     (2D mode) and four non-coplanar anchors otherwise.
     """
-    anchors, d = _ranges_to_arrays(ranges) if ranges else (np.empty((0, 3)), np.empty(0))
-    n = anchors.shape[0]
+    anchors, d = _checked_problems(np.asarray(anchors)[None], np.asarray(d)[None])
+    n = anchors.shape[1]
     dims = 2 if bounds[2][0] == bounds[2][1] else 3
     if n < dims + 1:
         raise GeometryError(f"{dims}D multilateration needs >= {dims + 1} anchors, got {n}")
-    centered = anchors[:, :dims] - anchors[:, :dims].mean(axis=0)
+    centered = anchors[0, :, :dims] - anchors[0, :, :dims].mean(axis=0)
     if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < dims:
         shape = "collinear" if dims == 2 else "coplanar"
         raise GeometryError(f"anchors are {shape}; {dims}D solve is degenerate")
-    clusters = _solve_clusters(anchors[None], d[None], bounds)[0]
+    clusters = _solve_clusters(anchors, d, bounds)[0]
     return _solution_from_clusters(clusters)
 
 
@@ -296,37 +268,37 @@ def pseudo_multilaterate_static_batch(
     (B, K) its ranges. All problems share the kernel's vectorized passes,
     and every problem's solution is bit-identical to solving it alone.
     """
+    anchors, d = _checked_problems(anchors, d)
     if anchors.shape[1] < 3:
         raise ValueError(f"need >= 3 measurements, got {anchors.shape[1]}")
     return [_solution_from_clusters(c) for c in _solve_clusters(anchors, d, bounds)]
 
 
-def crlb(
-    anchors: Sequence[Position3],
-    target: Position3,
-    sigma_fn: Callable[[float], float],
-) -> CrlbResult:
+def crlb(anchors: np.ndarray, target: np.ndarray, sigma_fn: Callable[[np.ndarray], np.ndarray]) -> CrlbResult:
     """Cramér-Rao lower bound on position covariance for range measurements.
 
     Fisher information J = sum_k u_k u_k^T / sigma_k^2 with u_k the unit
-    vector from the target to anchor k and sigma_k the range std at that
-    distance. Rank-deficient geometries (e.g. collinear anchors) return the
-    pseudo-inverse with ``rank_deficient`` set.
+    vector from the target (3,) to anchor k of ``anchors`` (K, 3) and
+    sigma_k the range std at that distance: ``sigma_fn`` maps the (K,)
+    distances to their stds (or to one std for all). Rank-deficient
+    geometries (e.g. collinear anchors) return the pseudo-inverse with
+    ``rank_deficient`` set.
     """
+    anchors, target = np.asarray(anchors, dtype=np.float64), np.asarray(target, dtype=np.float64)
+    if anchors.ndim != 2 or anchors.shape[1] != 3 or target.shape != (3,):
+        raise ValueError(f"need anchors (K, 3) and a target (3,), got {anchors.shape} and {target.shape}")
+    if not (np.isfinite(anchors).all() and np.isfinite(target).all()):
+        raise ValueError("anchor and target positions must be finite")
     if len(anchors) < 3:
         raise ValueError(f"need >= 3 anchors, got {len(anchors)}")
-    t = target.as_array()
-    J = np.zeros((3, 3))
-    for a in anchors:
-        u = a.as_array() - t
-        dist = float(np.linalg.norm(u))
-        if dist == 0.0:
-            raise ValueError("anchor coincides with target")
-        sigma = float(sigma_fn(dist))
-        if sigma <= 0:
-            raise ValueError(f"sigma_fn must be positive, got {sigma} at d={dist}")
-        u = u / dist
-        J += np.outer(u, u) / sigma**2
+    dist = _distances(anchors, target)
+    if np.any(dist == 0.0):
+        raise ValueError("anchor coincides with target")
+    sigma = np.broadcast_to(np.asarray(sigma_fn(dist), dtype=np.float64), dist.shape)
+    if not np.all(sigma > 0):
+        raise ValueError(f"sigma_fn must be positive, got {sigma} at d={dist}")
+    u = (anchors - target) / dist[:, None]
+    J = np.add.reduce(u[:, :, None] * u[:, None, :] / (sigma**2)[:, None, None])
     rank = int(np.linalg.matrix_rank(J))
     if rank < 3:
         return CrlbResult(cov=np.linalg.pinv(J), rank=rank, rank_deficient=True)

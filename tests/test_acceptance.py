@@ -26,14 +26,8 @@ from pseudolat.harness import (
     parse_scenario_config,
     run_scenario,
 )
-from pseudolat.localization import (
-    AnchorRange,
-    crlb,
-    multilaterate,
-    pseudo_multilaterate_static,
-    residual_jacobian,
-    residual_sum,
-)
+from pseudolat import _kernels
+from pseudolat.localization import crlb, multilaterate, pseudo_multilaterate_static
 from pseudolat.cli import main as cli_main
 from pseudolat.ranging import NoiseModel, RangeMeasurement, collect_measurements
 from pseudolat.waveform import (
@@ -148,21 +142,21 @@ def test_criterion_3_crlb_suite():
 
     halving_ok = True
     for _ in range(20):
-        target = Position3(*rng.uniform(-20, 20, 3))
-        anchors = [Position3(*rng.uniform(-80, 80, 3)) for _ in range(5)]
+        target = rng.uniform(-20, 20, 3)
+        anchors = np.array([rng.uniform(-80, 80, 3) for _ in range(5)])
         r1 = crlb(anchors, target, lambda d: 1.0 + 0.01 * d)
-        r2 = crlb(anchors + anchors, target, lambda d: 1.0 + 0.01 * d)
+        r2 = crlb(np.concatenate([anchors, anchors]), target, lambda d: 1.0 + 0.01 * d)
         if not np.allclose(r2.cov, r1.cov / 2.0, rtol=1e-10):
             halving_ok = False
 
     loewner_checked = 0
     loewner_ok = True
     while loewner_checked < 100:
-        target = Position3(*rng.uniform(-20, 20, 3))
-        anchors = [Position3(*rng.uniform(-100, 100, 3)) for _ in range(4)]
+        target = rng.uniform(-20, 20, 3)
+        anchors = np.array([rng.uniform(-100, 100, 3) for _ in range(4)])
         base = crlb(anchors, target, lambda d: 1.0 + 0.02 * d)
         grown = crlb(
-            anchors + [Position3(*rng.uniform(-100, 100, 3))], target, lambda d: 1.0 + 0.02 * d
+            np.concatenate([anchors, rng.uniform(-100, 100, (1, 3))]), target, lambda d: 1.0 + 0.02 * d
         )
         if base.rank_deficient or grown.rank_deficient:
             continue
@@ -172,27 +166,28 @@ def test_criterion_3_crlb_suite():
         if not np.all(np.diag(grown.cov) <= np.diag(base.cov) + 1e-9):
             loewner_ok = False
 
-    target = Position3(5.0, -8.0, 20.0)
+    target = np.array([5.0, -8.0, 20.0])
     anchors = []
     for k in range(8):
         az = 2 * math.pi * k / 8
         el = math.radians(25 + 40 * (k % 2))
         anchors.append(
-            Position3(
-                target.x + 120.0 * math.cos(el) * math.cos(az),
-                target.y + 120.0 * math.cos(el) * math.sin(az),
-                target.z + 120.0 * math.sin(el) * (1 if k % 3 else -1),
-            )
+            [
+                target[0] + 120.0 * math.cos(el) * math.cos(az),
+                target[1] + 120.0 * math.cos(el) * math.sin(az),
+                target[2] + 120.0 * math.sin(el) * (1 if k % 3 else -1),
+            ]
         )
+    anchors = np.array(anchors)
     bound = crlb(anchors, target, lambda d: 1.0)
     predicted = math.sqrt(bound.trace)
     bounds = ((-200.0, 200.0), (-200.0, 200.0), (-200.0, 200.0))
-    true_d = np.array([np.linalg.norm(a.as_array() - target.as_array()) for a in anchors])
+    true_d = np.array([np.linalg.norm(a - target) for a in anchors])
     sq = []
     for _ in range(1000):
         d = np.maximum(true_d + rng.normal(0.0, 1.0, true_d.size), 0.0)
-        sol = multilaterate([AnchorRange(a, di) for a, di in zip(anchors, d)], bounds)
-        sq.append(np.sum((sol.p_hat.as_array() - target.as_array()) ** 2))
+        sol = multilaterate(anchors, d, bounds)
+        sq.append(np.sum((sol.p_hat.as_array() - target) ** 2))
     rmse = math.sqrt(np.mean(sq))
     rmse_ok = abs(rmse - predicted) / predicted < 0.25
 
@@ -376,21 +371,23 @@ def test_criterion_7_oracle_equivalence():
         if sol.residual <= best + 1e-9:
             grid_ok += 1
 
-    anchors_j = [Position3(*rng.uniform(-80, 80, 3)) for _ in range(10)]
-    ranges_j = [AnchorRange(a, rng.uniform(10, 150)) for a in anchors_j]
+    # The Jacobian and the sum of squares are the LM kernel's own, at one lane.
+    anchors_j = np.array([rng.uniform(-80, 80, 3) for _ in range(10)])[None]
+    d_j = np.array([rng.uniform(10, 150) for _ in range(10)])[None]
+    lane = np.zeros(1, dtype=np.intp)
     h = 1e-6
     jac_ok = True
     for _ in range(100):
         p = rng.uniform(-60, 60, 3)
-        r, J = residual_jacobian(Position3(*p), ranges_j)
-        grad = 2.0 * J.T @ r
+        diff, dist, r, _ = _kernels._residuals(p[None], anchors_j, d_j, lane)
+        grad = 2.0 * (diff[0] / dist[0][:, None]).T @ r[0]
         fd = np.empty(3)
         for i in range(3):
             dp = np.zeros(3)
             dp[i] = h
             fd[i] = (
-                residual_sum(Position3(*(p + dp)), ranges_j)
-                - residual_sum(Position3(*(p - dp)), ranges_j)
+                _kernels._residuals((p + dp)[None], anchors_j, d_j, lane)[3][0]
+                - _kernels._residuals((p - dp)[None], anchors_j, d_j, lane)[3][0]
             ) / (2 * h)
         if np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) >= 1e-5:
             jac_ok = False

@@ -95,6 +95,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="relocation"):
             parse_scenario_config(raw)
 
+    def test_relocation_requires_whole_revolutions(self):
+        # relocate() starts the next circle where a whole revolution ends;
+        # 45 of the circle's 60 samples would end it 270 degrees around.
+        policy = {"min_radius": 10.0, "shrink_factor": 0.5, "max_center_step": 50.0, "altitude": 100.0}
+        with pytest.raises(ConfigError, match="samples_per_revolution must be 60"):
+            parse_scenario_config(base_scenario(samples_per_revolution=45, relocation=policy))
+        cfg = parse_scenario_config(base_scenario(samples_per_revolution=60, relocation=policy))
+        assert cfg.samples_per_rev() == 60
+        assert parse_scenario_config(base_scenario(samples_per_revolution=45)).samples_per_rev() == 45
+
     def test_linear_requires_sample_count(self):
         raw = base_scenario(
             trajectory={"kind": "linear", "start": [0, 0, 100], "velocity": [10, 0, 0]}

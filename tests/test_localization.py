@@ -14,7 +14,6 @@ from pseudolat.geometry import (
 from pseudolat import _kernels, localization
 from pseudolat.harness import parse_scenario_config, run_scenario
 from pseudolat.localization import (
-    AnchorRange,
     GeometryError,
     _box,
     _closed_form_starts,
@@ -22,8 +21,6 @@ from pseudolat.localization import (
     multilaterate,
     pseudo_multilaterate_static,
     pseudo_multilaterate_static_batch,
-    residual_jacobian,
-    residual_sum,
 )
 from pseudolat.ranging import NoiseModel, collect_measurements
 
@@ -48,111 +45,142 @@ def line_measurements(target, spec=None, n=60):
     return collect_measurements(anchor, tseries, [], NOISELESS, 0)
 
 
+def kernel_residuals(p, anchors, d):
+    """The LM kernel's residual vector, Jacobian and sum of squares at one point."""
+    diff, dist, r, f = _kernels._residuals(
+        np.asarray(p, dtype=float)[None], anchors[None], d[None], np.zeros(1, dtype=np.intp)
+    )
+    return r[0], diff[0] / dist[0][:, None], f[0]
+
+
 class TestResidual:
     def test_zero_at_truth(self):
-        anchors = [Position3(0, 0, 0), Position3(10, 0, 0), Position3(0, 10, 0)]
-        target = Position3(3, 4, 0)
-        ranges = [AnchorRange(a, np.linalg.norm(a.as_array() - target.as_array())) for a in anchors]
-        assert residual_sum(target, ranges) == pytest.approx(0.0, abs=1e-20)
+        anchors = np.array([[0.0, 0, 0], [10, 0, 0], [0, 10, 0]])
+        target = np.array([3.0, 4, 0])
+        d = np.linalg.norm(anchors - target, axis=1)
+        assert kernel_residuals(target, anchors, d)[2] == pytest.approx(0.0, abs=1e-20)
 
     def test_on_sphere(self):
-        assert residual_sum(
-            Position3(3, 4, 0), [AnchorRange(Position3(0, 0, 0), 5.0)]
-        ) == pytest.approx(0.0, abs=1e-20)
+        f = kernel_residuals([3, 4, 0], np.zeros((1, 3)), np.array([5.0]))[2]
+        assert f == pytest.approx(0.0, abs=1e-20)
 
     def test_off_sphere(self):
-        assert residual_sum(
-            Position3(6, 8, 0), [AnchorRange(Position3(0, 0, 0), 5.0)]
-        ) == pytest.approx(25.0, rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            residual_sum(Position3(0, 0, 0), [])
+        f = kernel_residuals([6, 8, 0], np.zeros((1, 3)), np.array([5.0]))[2]
+        assert f == pytest.approx(25.0, rel=1e-12)
 
     def test_jacobian_matches_central_differences(self):
         # Relative error < 1e-5 against step-1e-6 central differences on the
         # gradient of the sum of squares, at 100 random points.
         rng = np.random.default_rng(21)
-        anchors = [Position3(*rng.uniform(-80, 80, 3)) for _ in range(12)]
-        ranges = [AnchorRange(a, rng.uniform(10, 200)) for a in anchors]
+        anchors = np.array([rng.uniform(-80, 80, 3) for _ in range(12)])
+        d = np.array([rng.uniform(10, 200) for _ in range(12)])
         h = 1e-6
         for _ in range(100):
             p = rng.uniform(-60, 60, 3)
-            r, J = residual_jacobian(Position3(*p), ranges)
+            r, J, _ = kernel_residuals(p, anchors, d)
             grad = 2.0 * J.T @ r
             fd = np.empty(3)
             for i in range(3):
                 dp = np.zeros(3)
                 dp[i] = h
-                fp = residual_sum(Position3(*(p + dp)), ranges)
-                fm = residual_sum(Position3(*(p - dp)), ranges)
+                fp = kernel_residuals(p + dp, anchors, d)[2]
+                fm = kernel_residuals(p - dp, anchors, d)[2]
                 fd[i] = (fp - fm) / (2 * h)
             assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-5
 
 
 class TestMultilaterate:
     BOX = ((-50.0, 150.0), (-50.0, 150.0), (-50.0, 150.0))
+    TETRA = np.array([[0.0, 0, 0], [100, 0, 0], [0, 100, 0], [0, 0, 100]])
 
     def test_noiseless_exact(self):
-        anchors = [Position3(0, 0, 0), Position3(100, 0, 0), Position3(0, 100, 0), Position3(0, 0, 100)]
-        target = Position3(20, 30, 40)
-        ranges = [AnchorRange(a, np.linalg.norm(a.as_array() - target.as_array())) for a in anchors]
-        sol = multilaterate(ranges, self.BOX)
-        assert np.linalg.norm(sol.p_hat.as_array() - target.as_array()) < 1e-6
+        target = np.array([20.0, 30, 40])
+        sol = multilaterate(self.TETRA, np.linalg.norm(self.TETRA - target, axis=1), self.BOX)
+        assert np.linalg.norm(sol.p_hat.as_array() - target) < 1e-6
         assert sol.converged
 
     def test_coplanar_rejected_in_3d(self):
-        anchors = [Position3(0, 0, 0), Position3(100, 0, 0), Position3(0, 100, 0), Position3(50, 50, 0)]
-        ranges = [AnchorRange(a, 50.0) for a in anchors]
+        anchors = np.array([[0.0, 0, 0], [100, 0, 0], [0, 100, 0], [50, 50, 0]])
         with pytest.raises(GeometryError):
-            multilaterate(ranges, self.BOX)
+            multilaterate(anchors, np.full(4, 50.0), self.BOX)
 
     def test_three_anchors_rejected_in_3d(self):
-        anchors = [Position3(0, 0, 0), Position3(100, 0, 0), Position3(0, 100, 0)]
-        ranges = [AnchorRange(a, 50.0) for a in anchors]
         with pytest.raises(GeometryError):
-            multilaterate(ranges, self.BOX)
+            multilaterate(self.TETRA[:3], np.full(3, 50.0), self.BOX)
 
     def test_2d_mode_with_three_anchors(self):
         bounds = ((-50.0, 150.0), (-50.0, 150.0), (0.0, 0.0))
-        anchors = [Position3(0, 0, 30), Position3(100, 0, 30), Position3(0, 100, 30)]
-        target = Position3(40, 25, 0)
-        ranges = [AnchorRange(a, np.linalg.norm(a.as_array() - target.as_array())) for a in anchors]
-        sol = multilaterate(ranges, bounds)
-        assert np.linalg.norm(sol.p_hat.as_array() - target.as_array()) < 1e-6
+        anchors = np.array([[0.0, 0, 30], [100, 0, 30], [0, 100, 30]])
+        target = np.array([40.0, 25, 0])
+        sol = multilaterate(anchors, np.linalg.norm(anchors - target, axis=1), bounds)
+        assert np.linalg.norm(sol.p_hat.as_array() - target) < 1e-6
 
     def test_collinear_rejected_in_2d(self):
         bounds = ((-50.0, 150.0), (-50.0, 150.0), (0.0, 0.0))
-        anchors = [Position3(0, 0, 30), Position3(50, 0, 30), Position3(100, 0, 30)]
-        ranges = [AnchorRange(a, 60.0) for a in anchors]
+        anchors = np.array([[0.0, 0, 30], [50, 0, 30], [100, 0, 30]])
         with pytest.raises(GeometryError):
-            multilaterate(ranges, bounds)
+            multilaterate(anchors, np.full(3, 60.0), bounds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_range_rejected(self, bad):
+        # A NaN range once came back as a box corner with residual nan, an
+        # infinite one as a corner flagged converged.
+        d = np.full(4, 80.0)
+        d[2] = bad
+        with pytest.raises(ValueError, match="ranges must be finite and >= 0"):
+            multilaterate(self.TETRA, d, self.BOX)
+        with pytest.raises(ValueError, match="ranges must be finite and >= 0"):
+            pseudo_multilaterate_static_batch(self.TETRA[None], d[None], self.BOX)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_anchor_rejected(self, bad):
+        anchors = self.TETRA.copy()
+        anchors[1, 2] = bad
+        with pytest.raises(ValueError, match="anchor positions must be finite"):
+            multilaterate(anchors, np.full(4, 80.0), self.BOX)
+        with pytest.raises(ValueError, match="anchor positions must be finite"):
+            pseudo_multilaterate_static_batch(anchors[None], np.full((1, 4), 80.0), self.BOX)
+
+    @pytest.mark.parametrize(
+        "anchors, d",
+        [
+            (TETRA, np.full(3, 80.0)),
+            (TETRA[:, :2], np.full(4, 80.0)),
+            (TETRA.ravel(), np.full(12, 80.0)),
+            (TETRA, np.full((4, 1), 80.0)),
+        ],
+    )
+    def test_mis_shaped_rejected(self, anchors, d):
+        with pytest.raises(ValueError, match=r"need anchors \(B, K, 3\) and ranges \(B, K\)"):
+            multilaterate(anchors, d, self.BOX)
+        with pytest.raises(ValueError, match=r"need anchors \(B, K, 3\) and ranges \(B, K\)"):
+            pseudo_multilaterate_static_batch(anchors[None], d[None], self.BOX)
 
     def test_rmse_tracks_crlb(self):
         # 8 anchors, sigma = 1 m, Monte-Carlo RMSE within 25% of the bound.
         rng = np.random.default_rng(33)
-        target = Position3(5.0, -8.0, 20.0)
+        target = np.array([5.0, -8.0, 20.0])
         anchors = []
         for k in range(8):
             az = 2 * math.pi * k / 8
             el = math.radians(25 + 40 * (k % 2))
             r = 120.0
             anchors.append(
-                Position3(
-                    target.x + r * math.cos(el) * math.cos(az),
-                    target.y + r * math.cos(el) * math.sin(az),
-                    target.z + r * math.sin(el) * (1 if k % 3 else -1),
-                )
+                [
+                    target[0] + r * math.cos(el) * math.cos(az),
+                    target[1] + r * math.cos(el) * math.sin(az),
+                    target[2] + r * math.sin(el) * (1 if k % 3 else -1),
+                ]
             )
+        anchors = np.array(anchors)
         bound = crlb(anchors, target, lambda d: 1.0)
         bounds = ((-200.0, 200.0), (-200.0, 200.0), (-200.0, 200.0))
-        true_d = np.array([np.linalg.norm(a.as_array() - target.as_array()) for a in anchors])
+        true_d = np.array([np.linalg.norm(a - target) for a in anchors])
         sq = []
         for _ in range(400):
             d = true_d + rng.normal(0.0, 1.0, true_d.size)
-            ranges = [AnchorRange(a, max(di, 0.0)) for a, di in zip(anchors, d)]
-            sol = multilaterate(ranges, bounds)
-            sq.append(np.sum((sol.p_hat.as_array() - target.as_array()) ** 2))
+            sol = multilaterate(anchors, np.maximum(d, 0.0), bounds)
+            sq.append(np.sum((sol.p_hat.as_array() - target) ** 2))
         rmse = math.sqrt(np.mean(sq))
         predicted = math.sqrt(bound.trace)
         assert abs(rmse - predicted) / predicted < 0.25
@@ -160,44 +188,49 @@ class TestMultilaterate:
 
 class TestCrlb:
     def test_orthogonal_unit_directions(self):
-        target = Position3(0, 0, 0)
-        anchors = [Position3(10, 0, 0), Position3(0, 10, 0), Position3(0, 0, 10)]
+        target = np.zeros(3)
+        anchors = 10.0 * np.eye(3)
         res = crlb(anchors, target, lambda d: 1.0)
         assert res.trace == pytest.approx(3.0, rel=1e-12)
         assert not res.rank_deficient
 
     def test_duplicating_anchors_halves_bound(self):
         rng = np.random.default_rng(2)
-        target = Position3(3, 4, 1)
-        anchors = [Position3(*rng.uniform(-50, 50, 3)) for _ in range(5)]
+        target = np.array([3.0, 4, 1])
+        anchors = np.array([rng.uniform(-50, 50, 3) for _ in range(5)])
         res1 = crlb(anchors, target, lambda d: 1.0 + 0.01 * d)
-        res2 = crlb(anchors + anchors, target, lambda d: 1.0 + 0.01 * d)
+        res2 = crlb(np.concatenate([anchors, anchors]), target, lambda d: 1.0 + 0.01 * d)
         assert np.allclose(res2.cov, res1.cov / 2.0, rtol=1e-10)
 
     def test_collinear_anchors_flagged(self):
-        target = Position3(0, 0, 0)
-        anchors = [Position3(10, 0, 0), Position3(20, 0, 0), Position3(30, 0, 0)]
+        target = np.zeros(3)
+        anchors = np.array([[10.0, 0, 0], [20, 0, 0], [30, 0, 0]])
         res = crlb(anchors, target, lambda d: 1.0)
         assert res.rank_deficient
         assert res.rank == 1
 
     def test_requires_three_anchors(self):
         with pytest.raises(ValueError):
-            crlb([Position3(1, 0, 0), Position3(0, 1, 0)], Position3(0, 0, 0), lambda d: 1.0)
+            crlb(np.array([[1.0, 0, 0], [0, 1, 0]]), np.zeros(3), lambda d: 1.0)
 
     def test_rejects_nonpositive_sigma(self):
-        anchors = [Position3(10, 0, 0), Position3(0, 10, 0), Position3(0, 0, 10)]
         with pytest.raises(ValueError):
-            crlb(anchors, Position3(0, 0, 0), lambda d: 0.0)
+            crlb(10.0 * np.eye(3), np.zeros(3), lambda d: 0.0)
+
+    def test_sigma_fn_called_once_on_all_distances(self):
+        seen = []
+        anchors = np.array([[10.0, 0, 0], [0, 20, 0], [0, 0, 30], [3, 4, 0]])
+        crlb(anchors, np.zeros(3), lambda d: seen.append(d.copy()) or 1.0 + 0.01 * d)
+        assert len(seen) == 1 and np.array_equal(seen[0], [10.0, 20.0, 30.0, 5.0])
 
     def test_adding_anchors_never_hurts(self):
         # Loewner-order check on 100 random configurations.
         rng = np.random.default_rng(11)
         for _ in range(100):
-            target = Position3(*rng.uniform(-20, 20, 3))
-            anchors = [Position3(*rng.uniform(-100, 100, 3)) for _ in range(4)]
+            target = rng.uniform(-20, 20, 3)
+            anchors = np.array([rng.uniform(-100, 100, 3) for _ in range(4)])
             base = crlb(anchors, target, lambda d: 1.0 + 0.02 * d)
-            extra = anchors + [Position3(*rng.uniform(-100, 100, 3))]
+            extra = np.concatenate([anchors, rng.uniform(-100, 100, (1, 3))])
             grown = crlb(extra, target, lambda d: 1.0 + 0.02 * d)
             if base.rank_deficient or grown.rank_deficient:
                 continue
@@ -405,8 +438,7 @@ class TestClosedFormStarts:
         for group in ([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]):
             pick = np.isin(kinds, group)
             pseudo_multilaterate_static_batch(anchors[pick], d[pick], BAND)
-        ranges = [AnchorRange(Position3(*a), float(di)) for a, di in zip(anchors[1, :6], d[1, :6])]
-        multilaterate(ranges, ((-200.0, 200.0),) * 3)
+        multilaterate(anchors[1, :6], d[1, :6], ((-200.0, 200.0),) * 3)
         cfg = {
             "version": 1,
             "trajectory": {"kind": "circular", "center": [300.0, 0.0, 40.0], "radius": 50.0,

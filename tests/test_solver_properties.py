@@ -13,11 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudolat.geometry import Position3
-from pseudolat.localization import (
-    AnchorRange,
-    multilaterate,
-    pseudo_multilaterate_static,
-)
+from pseudolat.localization import multilaterate, pseudo_multilaterate_static
 from pseudolat.ranging import RangeMeasurement
 
 # Derandomized, so every run draws the same examples.
@@ -71,11 +67,6 @@ def _static(anchors, d, bounds):
     return pseudo_multilaterate_static(meas, bounds)
 
 
-def _multi(anchors, d, bounds):
-    ranges = [AnchorRange(Position3(*a), float(di)) for a, di in zip(anchors, d)]
-    return multilaterate(ranges, bounds)
-
-
 def _shifted(bounds, v):
     return tuple((lo + x, hi + x) for (lo, hi), x in zip(bounds, v))
 
@@ -97,8 +88,8 @@ def test_static_translation_equivariance(problem, v):
 @given(spread_problems(), shifts)
 def test_multilaterate_translation_equivariance(problem, v):
     anchors, d, _ = problem
-    base = _multi(anchors, d, CUBE).p_hat.as_array()
-    moved = _multi(anchors + v, d, _shifted(CUBE, v)).p_hat.as_array()
+    base = multilaterate(anchors, d, CUBE).p_hat.as_array()
+    moved = multilaterate(anchors + v, d, _shifted(CUBE, v)).p_hat.as_array()
     assert np.linalg.norm(moved - (base + v)) < NOISY_TOL_M
 
 
@@ -119,8 +110,8 @@ def test_multilaterate_anchor_permutation_invariance(problem, random):
     anchors, d, _ = problem
     order = list(range(len(d)))
     random.shuffle(order)
-    base = _multi(anchors, d, CUBE).p_hat.as_array()
-    permuted = _multi(anchors[order], d[order], CUBE).p_hat.as_array()
+    base = multilaterate(anchors, d, CUBE).p_hat.as_array()
+    permuted = multilaterate(anchors[order], d[order], CUBE).p_hat.as_array()
     assert np.linalg.norm(permuted - base) < NOISY_TOL_M
 
 
@@ -144,7 +135,7 @@ def test_static_estimates_inside_box(problem, bounds):
 def test_multilaterate_estimates_inside_box(problem, bounds):
     anchors, d, _ = problem
     lo, hi = np.array(bounds).T
-    for p in _points(_multi(anchors, d, bounds)):
+    for p in _points(multilaterate(anchors, d, bounds)):
         assert np.all(p >= lo) and np.all(p <= hi)
 
 
@@ -159,4 +150,4 @@ def test_static_noiseless_recovery_off_axis(problem):
 @given(spread_problems().map(lambda p: (p[0], np.linalg.norm(p[0] - p[2], axis=1), p[2])))
 def test_multilaterate_noiseless_recovery(problem):
     anchors, d, target = problem
-    assert np.linalg.norm(_multi(anchors, d, CUBE).p_hat.as_array() - target) < 1e-6
+    assert np.linalg.norm(multilaterate(anchors, d, CUBE).p_hat.as_array() - target) < 1e-6
