@@ -46,6 +46,7 @@ from .waveform import (
     DetectionFailure,
     NlosEnsemble,
     WaveformConfig,
+    _frame_length,
     apply_channel,
     estimate_toa,
     make_pilot,
@@ -458,18 +459,23 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(n, n_tasks))
 
 
-def _map_indexed(fn, n: int) -> list:
-    """``[fn(0), ..., fn(n - 1)]``, with the calling thread and up to W - 1
-    helper threads taking the next index in turn.
+def _map_indexed(fn, n: int, draw=None) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, or ``[fn(i, draw(i)) ...]`` given
+    ``draw``, with the calling thread and up to W - 1 helper threads taking
+    the next index in turn.
 
+    ``draw(i)`` runs under the lock that hands out index i, so draws happen
+    in index order whatever the schedule: a generator shared by all draws
+    yields the stream a serial loop would. ``fn`` runs outside the lock.
     Results are stored by index, so their order never depends on the
     schedule. If calls fail, no new index is taken and the failure of the
     lowest index is raised: every lower index has already been taken, so it
     is the exception a serial loop would raise.
     """
+    args = (lambda i: (i,)) if draw is None else (lambda i: (i, draw(i)))
     workers = _worker_count(n)
     if workers == 1:
-        return [fn(i) for i in range(n)]
+        return [fn(*args(i)) for i in range(n)]
     results = [None] * n
     failures: dict = {}
     lock = threading.Lock()
@@ -483,9 +489,14 @@ def _map_indexed(fn, n: int) -> list:
                 if i >= n or failures:
                     return
                 next_index += 1
+                try:
+                    a = args(i)
+                except BaseException as e:  # re-raised in the calling thread
+                    failures[i] = e
+                    return
             try:
-                results[i] = fn(i)
-            except BaseException as e:  # re-raised in the calling thread
+                results[i] = fn(*a)
+            except BaseException as e:
                 with lock:
                     failures[i] = e
                 return
@@ -514,17 +525,28 @@ def _collect_waveform_backed(
     backend: WaveformRanging,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """One ToA trial per sample, the samples spread over threads.
+
+    All samples draw from one generator, each its paths and then its noise
+    normals, in sample order (``_map_indexed``'s in-order ``draw``); the
+    channel synthesis and the ToA estimate run outside the lock.
+    """
     los = _line_of_sight(anchor_p, target_p, obstacles)
     d_true = _distances(anchor_p, target_p)
     rng = np.random.default_rng(seed)
     cfg = backend.waveform
-    pilot = make_pilot(cfg)
-    d = np.empty_like(d_true)
-    for k in range(d.size):
+    pilot = make_pilot(cfg)  # warms the pilot cache before the fan-out
+
+    def draw(k: int):
         paths = backend.ensemble.draw_paths(float(d_true[k]), cfg.carrier_freq, rng, los=bool(los[k]))
-        received = apply_channel(pilot, paths, cfg, rng)
-        d[k] = C_LIGHT * estimate_toa(received, cfg)
-    return d, los
+        total = _frame_length(pilot.size, paths, cfg)  # raises on a delay of a symbol or more
+        return paths, rng.standard_normal(2 * total) if math.isfinite(paths.snr_db) else None
+
+    def measure(k: int, drawn) -> float:
+        paths, noise = drawn
+        return C_LIGHT * estimate_toa(apply_channel(pilot, paths, cfg, noise), cfg)
+
+    return np.array(_map_indexed(measure, d_true.size, draw=draw)), los
 
 
 def _collect(
@@ -555,9 +577,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     at every revolution's midpoint once. Every run ranges along its own circle with its own
     (base_seed, run, revolution) seed, all runs are solved in one batched
     call, and a relocation policy then re-centres each run's circle.
-    Waveform-backed ranging spreads the runs over threads (``_map_indexed``);
-    statistical ranging and the solves stay in the calling thread, where
-    threads do not pay.
+    The runs are ranged one after another: waveform-backed ranging spreads
+    each (run, revolution)'s samples over threads itself
+    (``_collect_waveform_backed``), while statistical ranging and the solves
+    stay in the calling thread, where threads do not pay.
     """
     start = time.perf_counter()
     n_samples = cfg.samples_per_rev()
@@ -566,9 +589,6 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     truth = cfg.target.path_at(t_mid)
     est = np.empty((cfg.runs, cfg.n_revolutions, 3))
     errors = np.empty((cfg.runs, cfg.n_revolutions))
-    waveform_backed = isinstance(cfg.noise, WaveformRanging)
-    if waveform_backed:
-        make_pilot(cfg.noise.waveform)  # warm the pilot cache before any thread fan-out
     for rev, t0 in enumerate(starts):
         anchor_paths = [sample_trajectory(spec, t0, cfg.dt, n_samples) for spec in specs]
         t = anchor_paths[0].t
@@ -578,10 +598,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
             seed = _derived_seed(cfg.base_seed, run, rev)
             return _collect(cfg, anchor_paths[run].p, target_p, seed)[0]
 
-        if waveform_backed:
-            d = np.stack(_map_indexed(measure, cfg.runs))
-        else:
-            d = np.stack([measure(run) for run in range(cfg.runs)])
+        d = np.stack([measure(run) for run in range(cfg.runs)])
         anchors = np.stack([path.p for path in anchor_paths])
         sols = pseudo_multilaterate_static_batch(anchors, d, cfg.bounds)
         for run, sol in enumerate(sols):

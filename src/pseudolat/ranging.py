@@ -240,20 +240,28 @@ def load_dataset(path) -> list[MeasurementMatrix]:
     """Inverse of :func:`export_dataset`.
 
     Empty label fields, and the ``nan`` ones that earlier versions wrote,
-    read as no label.
+    read as no label. A line without exactly the header's fields, or a
+    revolution whose row indices are not exactly 0 .. S-1, raises
+    ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln]
     if not lines or lines[0] != DATASET_HEADER:
         raise ValueError(f"unrecognized dataset header in {path}")
+    n_fields = DATASET_HEADER.count(",") + 1
     by_rev: dict[int, list[tuple]] = {}
     for ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) != n_fields:
+            raise ValueError(f"{path}: {len(parts)} fields, expected {n_fields}, in line {ln!r}")
         rev = int(parts[0])
         by_rev.setdefault(rev, []).append(parts)
     matrices = []
     for rev in sorted(by_rev):
         parts_list = sorted(by_rev[rev], key=lambda p: int(p[1]))
+        if [int(p[1]) for p in parts_list] != list(range(len(parts_list))):
+            n = len(parts_list)
+            raise ValueError(f"{path}: revolution {rev} has {n} rows whose indices are not 0 .. {n - 1}")
         rows = np.array([[float(p[2]), float(p[3]), float(p[4]), float(p[5])] for p in parts_list])
         los = np.array([bool(int(p[6])) for p in parts_list])
         lx, ly, lz = (float(parts_list[0][j] or "nan") for j in (7, 8, 9))

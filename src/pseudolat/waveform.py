@@ -244,24 +244,39 @@ def _ramp_into(out: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frame_length(n_signal: int, paths: PathSet, cfg: WaveformConfig) -> int:
+    """Samples ``apply_channel`` returns for a signal of ``n_signal`` samples:
+    the signal, its longest path delay and 16 more, rounded up to a fast FFT
+    length. A path delayed by a whole symbol or more raises ValueError."""
+    longest = max(p.delay * cfg.sample_rate for p in paths.paths)
+    if longest >= cfg.fft_size:
+        raise ValueError("path delay exceeds one symbol duration")
+    return _next_fast_len(n_signal + int(np.ceil(longest)) + 16)
+
+
 def apply_channel(
     signal: np.ndarray,
     paths: PathSet,
     cfg: WaveformConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | np.ndarray | None,
 ) -> np.ndarray:
     """Propagate through y(t) = sum_i g_i x(t - tau_i) e^{j 2 pi nu_i t} + AWGN.
 
     Fractional delays use exact band-limited (FFT phase-ramp) interpolation;
     integer delays are applied as exact sample shifts. The output is padded
-    past the input so delayed energy is kept.
+    past the input to ``_frame_length`` samples so delayed energy is kept.
+
+    The noise is 2 * ``_frame_length`` standard normals, real parts first,
+    scaled to ``paths.snr_db`` below the noiseless output's mean power.
+    ``rng`` draws them once the channel is synthesised; a caller that must
+    draw before synthesis (to keep one generator's order across threads)
+    passes the drawn normals instead, which are scaled in place. No noise is
+    drawn or added at infinite SNR or on an all-zero channel.
     """
     x = np.asarray(signal, dtype=np.complex128)
     fs = cfg.sample_rate
     delays_samp = [p.delay * fs for p in paths.paths]
-    if max(delays_samp) >= cfg.fft_size:
-        raise ValueError("path delay exceeds one symbol duration")
-    total = _next_fast_len(x.size + int(np.ceil(max(delays_samp))) + 16)
+    total = _frame_length(x.size, paths, cfg)
     n_pos = (total - 1) // 2 + 1  # bins of fftfreq's non-negative half
     shifts = [int(round(a)) for a in delays_samp]
     whole = [abs(a - ai) < 1e-9 for a, ai in zip(delays_samp, shifts)]
@@ -296,7 +311,7 @@ def apply_channel(
         if power > 0:
             sigma2 = power * 10.0 ** (-paths.snr_db / 10.0)
             # one draw of 2 * total is the same stream as two draws of total
-            z = rng.standard_normal(2 * total)
+            z = rng if isinstance(rng, np.ndarray) else rng.standard_normal(2 * total)
             z *= math.sqrt(sigma2 / 2.0)
             y.real += z[:total]
             y.imag += z[total:]

@@ -423,6 +423,25 @@ def test_thread_count_does_not_change_artifacts(tmp_path, monkeypatch, waveform_
         assert artifacts(threads) == serial
 
 
+@pytest.mark.parametrize("command", ["simulate", "export-dataset"])
+def test_path_longer_than_a_symbol_exits_3_at_any_thread_count(
+    tmp_path, capsys, monkeypatch, waveform_configs, command
+):
+    # At 1 MHz spacing a symbol lasts 1 us, about 300 m: every sample of a
+    # circle 1 km from the target raises in its draw, before any channel.
+    cfg = json.loads(waveform_configs["scenario"].read_text())
+    cfg["trajectory"]["center"] = [1000.0, 0.0, 70.0]
+    cfg["noise"]["waveform"]["subcarrier_spacing_hz"] = 1e6
+    waveform_configs["scenario"].write_text(json.dumps(cfg))
+    errs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("PSEUDOLAT_THREADS", threads)
+        out = str(tmp_path / f"out_{threads}")
+        assert main(["--quiet", "--out-dir", out, command, str(waveform_configs["scenario"])]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: path delay exceeds one symbol duration\n"
+
+
 @pytest.mark.parametrize("raw", ["0", "-3"])
 def test_non_positive_thread_count_exits_3(tmp_path, capsys, monkeypatch, waveform_configs, raw):
     monkeypatch.setenv("PSEUDOLAT_THREADS", raw)

@@ -185,7 +185,7 @@ class TestRunScenario:
         _assert_same_runs(a, b)
 
     def test_threads_do_not_change_results(self, monkeypatch):
-        # Waveform-backed runs are the ones that fan out.
+        # Waveform-backed ranging fans out each (run, revolution)'s samples.
         noise = {
             "kind": "waveform",
             "waveform": {"scheme": "otfs", "n_subcarriers": 64, "n_symbols": 8},
@@ -574,12 +574,12 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="PSEUDOLAT_THREADS must be a positive integer"):
             harness._worker_count(10)
 
-    def _map_in_time(self, fn, n, timeout=60.0):
+    def _map_in_time(self, fn, n, timeout=60.0, draw=None):
         out = {}
 
         def call():
             try:
-                out["result"] = harness._map_indexed(fn, n)
+                out["result"] = harness._map_indexed(fn, n, draw=draw)
             except BaseException as e:  # handed to the test thread
                 out["error"] = e
 
@@ -653,3 +653,96 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert out["result"] == [sum(range(i % 50)) + i for i in range(3000)]
         assert sorted(calls) == list(range(3000))
+
+    def test_draws_run_in_index_order_under_contention(self, monkeypatch):
+        # draw runs under the lock that hands out its index, so a generator
+        # shared by all draws yields a serial loop's stream at any schedule.
+        monkeypatch.setenv("PSEUDOLAT_THREADS", "8")
+        drawn = []
+        rng = np.random.default_rng(5)
+
+        def draw(i):
+            drawn.append(i)
+            return rng.random()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = self._map_in_time(lambda i, x: (i, x), 3000, draw=draw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert drawn == list(range(3000))
+        assert out["result"] == list(enumerate(np.random.default_rng(5).random(3000).tolist()))
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_failing_draw_takes_no_later_index(self, monkeypatch, threads):
+        monkeypatch.setenv("PSEUDOLAT_THREADS", threads)
+        drawn, worked = [], []
+
+        def draw(i):
+            drawn.append(i)
+            if i == 17:
+                raise ValueError(f"draw {i}")
+            return i
+
+        def fn(i, x):
+            worked.append(i)
+            time.sleep(0.001)
+            return x
+
+        before = threading.active_count()
+        out = self._map_in_time(fn, 40, draw=draw)
+        assert isinstance(out.get("error"), ValueError) and str(out["error"]) == "draw 17"
+        assert drawn == list(range(18))
+        assert sorted(worked) == list(range(17))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_work_failure_below_a_failing_draw_wins(self, monkeypatch, threads):
+        # Index 4's work is still running when index 9's draw fails; a serial
+        # loop would have stopped at index 4.
+        monkeypatch.setenv("PSEUDOLAT_THREADS", threads)
+
+        def draw(i):
+            if i == 9:
+                raise ValueError(f"draw {i}")
+            return i
+
+        def fn(i, x):
+            if i == 4:
+                time.sleep(0.05)
+                raise RuntimeError(f"work {i}")
+            return x
+
+        out = self._map_in_time(fn, 40, draw=draw)
+        assert isinstance(out.get("error"), RuntimeError) and str(out["error"]) == "work 4"
+
+    @pytest.mark.parametrize("entry", ["run_scenario", "scenario_matrices"])
+    def test_waveform_ranging_never_nests_fan_outs(self, monkeypatch, entry):
+        # Only each (run, revolution)'s samples fan out, so 3 workers mean
+        # at most 2 helper threads alive at any time.
+        monkeypatch.setenv("PSEUDOLAT_THREADS", "3")
+        lock = threading.Lock()
+        alive = [0]
+        most = [0]
+
+        class CountingThread(threading.Thread):
+            def run(self):
+                with lock:
+                    alive[0] += 1
+                    most[0] = max(most[0], alive[0])
+                try:
+                    super().run()
+                finally:
+                    with lock:
+                        alive[0] -= 1
+
+        noise = {
+            "kind": "waveform",
+            "waveform": {"scheme": "otfs", "n_subcarriers": 64, "n_symbols": 8},
+            "ensemble": {"snr_db": 20.0, "n_paths_min": 1, "n_paths_max": 3},
+        }
+        cfg = parse_scenario_config(base_scenario(runs=4, n_revolutions=2, noise=noise, dt=6.0))
+        monkeypatch.setattr(harness.threading, "Thread", CountingThread)
+        getattr(harness, entry)(cfg)
+        assert most[0] == 2

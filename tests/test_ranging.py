@@ -333,6 +333,32 @@ class TestExport:
         (back,) = load_dataset(out)
         assert back.label is None
 
+    def _three_rows(self, tmp_path) -> list[str]:
+        rows = np.array([[1.0, 2.0, 3.0, 4.5], [1.5, 2.0, 3.0, 5.0], [2.0, 2.0, 3.0, 5.5]])
+        mat = MeasurementMatrix(rows=rows, los=np.array([True, False, True]), revolution=0)
+        out = tmp_path / "dataset.csv"
+        export_dataset([mat], out)
+        (back,) = load_dataset(out)
+        assert np.array_equal(back.rows, rows)
+        return out.read_text().split("\n")
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda lines: lines[:2] + lines[1:], "4 rows whose indices are not 0 .. 3"),  # row 0 twice
+            (lambda lines: lines[:2] + lines[3:], "2 rows whose indices are not 0 .. 1"),  # row 1 dropped
+            (lambda lines: lines[:2] + [lines[2] + ",7.0"] + lines[3:], "11 fields, expected 10"),
+            (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], "9 fields, expected 10"),
+        ],
+        ids=["duplicated-row", "dropped-row", "eleventh-field", "ninth-field"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, edit, match):
+        lines = edit(self._three_rows(tmp_path))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=match):
+            load_dataset(bad)
+
     def test_empty_list_rejected_without_file(self, tmp_path):
         out = tmp_path / "nothing.csv"
         with pytest.raises(ValueError):
